@@ -214,7 +214,7 @@ fn main() {
             .histograms
             .iter()
             .filter(|h| h.id.name == "repro_experiment_seconds")
-            .map(|h| h.sum)
+            .map(|h| h.scaled(h.sum))
             .sum();
         if wall > 0.0 {
             airfinger_obs::gauge!("repro_worker_utilization").set(busy / (wall * threads as f64));
@@ -227,6 +227,8 @@ fn main() {
         run.meta("seed", seed);
         run.meta("threads", threads);
         run.meta("wall_clock_s", format!("{wall:.3}"));
+        run.meta("rustc", env!("AIRFINGER_RUSTC"));
+        run.meta("target", env!("AIRFINGER_TARGET"));
         for (id, seconds) in &timings {
             run.experiment(id, *seconds);
         }

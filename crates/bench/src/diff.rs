@@ -117,6 +117,8 @@ impl DiffReport {
 #[derive(Debug, Default)]
 struct BenchView {
     label: String,
+    /// `rustc -V` and target triple from `meta`, when recorded.
+    toolchain: Option<String>,
     experiments: Vec<(String, f64)>,
     total_seconds: Option<f64>,
     /// experiment → accuracy percent, from the quality section.
@@ -163,6 +165,14 @@ fn parse_view(text: &str, which: &str) -> Result<BenchView, String> {
             .to_string(),
         ..BenchView::default()
     };
+    let meta = |key: &str| {
+        get(&value, "meta")
+            .and_then(|m| get(m, key))
+            .and_then(Value::as_str)
+    };
+    if let (Some(rustc), Some(target)) = (meta("rustc"), meta("target")) {
+        view.toolchain = Some(format!("{rustc} ({target})"));
+    }
     if let Some(exps) = get(&value, "experiments").and_then(Value::as_array) {
         for e in exps {
             let (Some(id), Some(seconds)) = (
@@ -358,7 +368,7 @@ pub fn diff_reports(base: &str, new: &str, opts: &DiffOptions) -> Result<DiffRep
         lines.push(String::new());
         lines.push(format!(
             "{:<44} {:>11} {:>11} {:>11}",
-            "histogram (p95 seconds)", "base", "new", "delta"
+            "histogram (p95)", "base", "new", "delta"
         ));
         for key in shared {
             let (b, n) = (&base.percentiles[key], &new.percentiles[key]);
@@ -370,6 +380,19 @@ pub fn diff_reports(base: &str, new: &str, opts: &DiffOptions) -> Result<DiffRep
             }
         }
     }
+
+    // Toolchains of both sides, above the perf table: allocation counts
+    // and timings are only comparable on the same compiler and target.
+    let toolchain = |v: &BenchView| v.toolchain.clone().unwrap_or_else(|| "unknown".into());
+    let matched = match (&base.toolchain, &new.toolchain) {
+        (Some(b), Some(n)) if b == n => "yes",
+        (Some(_), Some(_)) => "no",
+        _ => "unknown",
+    };
+    lines.push(String::new());
+    lines.push(format!("toolchain base: {}", toolchain(&base)));
+    lines.push(format!("toolchain new:  {}", toolchain(&new)));
+    lines.push(format!("toolchain match: {matched}"));
 
     // Perf metric gate: deterministic class exact, timing class within
     // tolerance, improvements beyond tolerance become ratchet
@@ -739,5 +762,40 @@ mod tests {
     fn invalid_json_is_an_error() {
         assert!(diff_reports("{", "{}", &DiffOptions::default()).is_err());
         assert!(diff_reports("{}", "not json", &DiffOptions::default()).is_err());
+    }
+
+    /// Both sides' toolchains, and whether they match, print above the
+    /// perf table; the verdict does not depend on them.
+    #[test]
+    fn toolchains_print_above_the_perf_table() {
+        let with_meta = |rustc: &str| {
+            perf_report("x", 12000, 8191.0, 250000.0).replace(
+                r#""meta": {}"#,
+                &format!(r#""meta": {{"rustc": "{rustc}", "target": "x86_64-unknown-linux-gnu"}}"#),
+            )
+        };
+        let lines_of = |base: &str, new: &str| {
+            let diff = diff_reports(base, new, &perf_gate()).unwrap();
+            assert!(diff.passed(), "{:?}", diff.violations);
+            diff.lines
+        };
+        let a = with_meta("rustc 1.95.0");
+        let lines = lines_of(&a, &with_meta("rustc 1.96.0"));
+        let at = |prefix: &str| lines.iter().position(|l| l.starts_with(prefix)).unwrap();
+        assert_eq!(
+            lines[at("toolchain base:")],
+            "toolchain base: rustc 1.95.0 (x86_64-unknown-linux-gnu)"
+        );
+        assert_eq!(
+            lines[at("toolchain new:")],
+            "toolchain new:  rustc 1.96.0 (x86_64-unknown-linux-gnu)"
+        );
+        assert_eq!(lines[at("toolchain match:")], "toolchain match: no");
+        assert!(at("toolchain match:") < at("perf metric"));
+        assert!(lines_of(&a, &a).contains(&"toolchain match: yes".to_string()));
+        let old = perf_report("old", 12000, 8191.0, 250000.0);
+        let lines = lines_of(&old, &a);
+        assert!(lines.contains(&"toolchain base: unknown".to_string()));
+        assert!(lines.contains(&"toolchain match: unknown".to_string()));
     }
 }

@@ -263,7 +263,7 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
         let push = snapshot
             .histogram("fleet_push_seconds", &[])
             .ok_or(BenchError::EmptyResult("fleet_push_seconds histogram"))?;
-        let p99_us = push.percentiles.p99 * 1e6;
+        let p99_us = push.quantile(0.99).unwrap_or(0.0) * 1e6;
         report.line(format!(
             "aggregate push p99 {p99_us:.2} µs over {} pushes",
             push.count

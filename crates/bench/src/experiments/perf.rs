@@ -5,7 +5,7 @@
 //! harness (DESIGN.md §15): a single-threaded continuous session streams
 //! through a bare [`StreamingEngine`] **K times** (median-of-K repeats)
 //! with each push individually clocked into a *local* log2-bucketed
-//! [`LatencyHist`], so the numbers cannot be contaminated by experiments
+//! [`Histogram`], so the numbers cannot be contaminated by experiments
 //! running concurrently on other worker threads.
 //!
 //! The report splits into the two metric classes declared in DESIGN.md
@@ -28,15 +28,14 @@ use airfinger_core::config::AirFingerConfig;
 use airfinger_core::engine::StreamingEngine;
 use airfinger_core::pipeline::AirFinger;
 use airfinger_obs::alloc;
-use airfinger_obs::latency;
 use airfinger_obs::registry::MetricId;
-use airfinger_obs::{LatencyHist, LatencySnapshot};
+use airfinger_obs::{Histogram, HistogramSnapshot};
 use airfinger_synth::dataset::{generate_corpus, generate_nongesture_corpus, CorpusSpec};
 use airfinger_synth::session::{generate_session, SessionSpec};
 use std::time::Instant;
 
-/// The per-window pipeline stages whose global `pipeline_stage_ns`
-/// latency histograms feed the per-stage attribution. The streaming
+/// The per-window pipeline stages whose global `pipeline_stage_seconds`
+/// histograms feed the per-stage attribution. The streaming
 /// engine computes SBC/threshold/segmentation incrementally without
 /// per-sample spans, so only the per-window stages appear here.
 const STAGES: [&str; 5] = ["filter", "features", "rf_predict", "zebra", "distinguish"];
@@ -53,8 +52,8 @@ fn median(values: &[f64]) -> f64 {
 
 /// Snapshot a local push histogram under a synthetic identity so the
 /// quantile walk can run on it.
-fn local_snapshot(hist: &LatencyHist) -> LatencySnapshot {
-    hist.snapshot(MetricId::new("perf_local_push_ns", &[]))
+fn local_snapshot(hist: &Histogram) -> HistogramSnapshot {
+    hist.snapshot(MetricId::new("perf_local_push_seconds", &[]), String::new())
 }
 
 /// Run the experiment.
@@ -120,21 +119,22 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
         let _ = engine.push(&sample)?;
     }
 
-    // Per-stage attribution reads the *global* `pipeline_stage_ns`
-    // histograms by delta across the whole repeat loop. Under
-    // `--threads N` other experiments stream concurrently into the same
-    // histograms, so these are timing-class observations only; the
-    // deterministic counters below never touch shared state.
-    let stage_hists: Vec<LatencyHist> = STAGES
+    // Per-stage attribution reads the nanosecond sums of the *global*
+    // `pipeline_stage_seconds` histograms by delta across the whole
+    // repeat loop. Under `--threads N` other experiments stream
+    // concurrently into the same histograms, so these are timing-class
+    // observations only; the deterministic counters below never touch
+    // shared state.
+    let stage_hists: Vec<Histogram> = STAGES
         .iter()
-        .map(|s| latency::hist_with("pipeline_stage_ns", &[("stage", s)]))
+        .map(|s| airfinger_obs::histogram_with("pipeline_stage_seconds", &[("stage", s)]))
         .collect();
-    let stage_sums_before: Vec<u64> = stage_hists.iter().map(LatencyHist::sum_ns).collect();
+    let stage_sums_before: Vec<u64> = stage_hists.iter().map(Histogram::sum).collect();
 
     // One local histogram, reset per repeat: every push is clocked
-    // individually, independent of the global `engine_push_ns` histogram
-    // that concurrent experiments also record into.
-    let push_hist = LatencyHist::new();
+    // individually, independent of the global `engine_push_seconds`
+    // histogram that concurrent experiments also record into.
+    let push_hist = Histogram::new();
     let mut throughputs = Vec::with_capacity(repeats);
     let mut p50s = Vec::with_capacity(repeats);
     let mut p95s = Vec::with_capacity(repeats);
@@ -179,16 +179,16 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
             throughputs.push(samples as f64 / elapsed);
         }
         let snap = local_snapshot(&push_hist);
-        p50s.push(snap.p50_ns() as f64);
-        p95s.push(snap.p95_ns() as f64);
-        p99s.push(snap.p99_ns() as f64);
-        max_ns = max_ns.max(snap.max_ns);
+        p50s.push(snap.quantile_raw(0.50) as f64);
+        p95s.push(snap.quantile_raw(0.95) as f64);
+        p99s.push(snap.quantile_raw(0.99) as f64);
+        max_ns = max_ns.max(snap.max);
     }
     drop(span);
     engine.flush()?;
     alloc::publish();
 
-    let stage_sums_after: Vec<u64> = stage_hists.iter().map(LatencyHist::sum_ns).collect();
+    let stage_sums_after: Vec<u64> = stage_hists.iter().map(Histogram::sum).collect();
 
     // Deterministic work counters — exact-gated by `repro diff`.
     let recording = airfinger_obs::recording();
@@ -222,7 +222,7 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
     ));
     report.line(format!(
         "push latency: p50 {p50:.0} ns, p95 {p95:.0} ns, p99 {p99:.0} ns, max {max_ns} ns \
-         (log2 bucket upper edges)"
+         (log2 bucket upper edges, capped at the max)"
     ));
     if alloc::counting() {
         report.line(format!(

@@ -94,25 +94,23 @@ fn write_profile_artifacts(dump_dir: Option<&str>) -> Result<(), String> {
     )
 }
 
-/// One-line push-latency rollup from the global nanosecond histogram
-/// (`engine_push_ns`, recorded by every `StreamingEngine::push`).
+/// One-line push-latency rollup from the registry's `engine_push_seconds`
+/// histogram (recorded in nanoseconds by every `StreamingEngine::push`).
 /// Silent when recording is off or nothing was pushed.
 fn print_push_latency() {
-    let Some(push) = airfinger_obs::latency::snapshot_all()
-        .into_iter()
-        .find(|s| s.id.name == "engine_push_ns")
+    let snapshot = airfinger_obs::global().snapshot();
+    let Some(push) = snapshot
+        .histogram("engine_push_seconds", &[])
+        .filter(|h| h.count > 0)
     else {
         return;
     };
-    if push.count == 0 {
-        return;
-    }
     println!(
         "push latency: p50 {} ns | p95 {} ns | p99 {} ns | max {} ns over {} pushes",
-        push.p50_ns(),
-        push.p95_ns(),
-        push.p99_ns(),
-        push.max_ns,
+        push.quantile_raw(0.50),
+        push.quantile_raw(0.95),
+        push.quantile_raw(0.99),
+        push.max,
         push.count
     );
 }

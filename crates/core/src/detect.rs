@@ -148,15 +148,10 @@ impl DetectRecognizer {
             return Err(AirFingerError::NotTrained);
         }
         let features = {
-            let _s =
-                airfinger_obs::span!("pipeline_stage_seconds", stage = "features").with_latency(
-                    airfinger_obs::latency!("pipeline_stage_ns", stage = "features"),
-                );
+            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "features");
             self.features(window)
         };
-        let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "rf_predict").with_latency(
-            airfinger_obs::latency!("pipeline_stage_ns", stage = "rf_predict"),
-        );
+        let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "rf_predict");
         Ok(self.forest.predict(&features)?)
     }
 

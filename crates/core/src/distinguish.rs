@@ -49,10 +49,7 @@ impl Distinguisher {
     #[must_use]
     // lint: hot-path-root — hosts the distinguish stage span
     pub fn classify(&self, window: &GestureWindow) -> GestureFamily {
-        let _span =
-            airfinger_obs::span!("pipeline_stage_seconds", stage = "distinguish").with_latency(
-                airfinger_obs::latency!("pipeline_stage_ns", stage = "distinguish"),
-            );
+        let _span = airfinger_obs::span!("pipeline_stage_seconds", stage = "distinguish");
         let timing = window.channel_timing(&self.config);
         let ig = self.config.ig_samples() as isize;
         let family = match timing.lag_samples {

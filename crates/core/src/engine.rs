@@ -164,14 +164,12 @@ impl StreamingEngine {
     /// # Errors
     ///
     /// Returns [`AirFingerError::InvalidTrainingData`] for a wrong-width
-    /// sample and propagates recognition errors.
+    /// or non-finite sample, before any engine state changes, and
+    /// propagates recognition errors.
     // lint: hot-path-root — the per-sample streaming entry point
     pub fn push(&mut self, sample: &[f64]) -> Result<Option<Recognition>, AirFingerError> {
-        if sample.len() != self.channel_count {
-            return Err(AirFingerError::InvalidTrainingData("sample width mismatch"));
-        }
-        let span = airfinger_obs::span!("engine_push_seconds")
-            .with_latency(airfinger_obs::latency!("engine_push_ns"));
+        self.check_sample(sample)?;
+        let span = airfinger_obs::span!("engine_push_seconds");
         airfinger_obs::counter!("engine_samples_total").inc();
         let result = match self.ingest(sample) {
             Some(seg) => self.emit(seg).map(Some),
@@ -214,13 +212,10 @@ impl StreamingEngine {
     /// # Errors
     ///
     /// Returns [`AirFingerError::InvalidTrainingData`] for a wrong-width
-    /// sample.
+    /// or non-finite sample.
     pub fn push_deferred(&mut self, sample: &[f64]) -> Result<DeferredPush, AirFingerError> {
-        if sample.len() != self.channel_count {
-            return Err(AirFingerError::InvalidTrainingData("sample width mismatch"));
-        }
-        let span = airfinger_obs::span!("engine_push_seconds")
-            .with_latency(airfinger_obs::latency!("engine_push_ns"));
+        self.check_sample(sample)?;
+        let span = airfinger_obs::span!("engine_push_seconds");
         airfinger_obs::counter!("engine_samples_total").inc();
         let closed = self.ingest(sample);
         if !self.segmenter.in_gesture() {
@@ -276,6 +271,22 @@ impl StreamingEngine {
                 outcome,
             );
         }
+    }
+
+    /// Reject a sample before it touches any engine state: a wrong width,
+    /// or any NaN/±inf reading (one such value would otherwise skew the
+    /// SBC ring, the smoothing window and the Otsu histogram). Each
+    /// rejection counts under `engine_samples_rejected_total{reason}`.
+    fn check_sample(&self, sample: &[f64]) -> Result<(), AirFingerError> {
+        if sample.len() != self.channel_count {
+            airfinger_obs::counter!("engine_samples_rejected_total", reason = "width").inc();
+            return Err(AirFingerError::InvalidTrainingData("sample width mismatch"));
+        }
+        if !sample.iter().all(|v| v.is_finite()) {
+            airfinger_obs::counter!("engine_samples_rejected_total", reason = "non_finite").inc();
+            return Err(AirFingerError::InvalidTrainingData("non-finite sample"));
+        }
+        Ok(())
     }
 
     /// Advance every streaming stage by one sample; returns the segment

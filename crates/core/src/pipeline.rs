@@ -225,11 +225,7 @@ impl AirFinger {
             PreparedWindow::Rejected(recognition) => Ok(recognition),
             PreparedWindow::Pending(features) => {
                 let index = {
-                    let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "rf_predict")
-                        .with_latency(airfinger_obs::latency!(
-                            "pipeline_stage_ns",
-                            stage = "rf_predict"
-                        ));
+                    let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "rf_predict");
                     self.detect.predict_features(&features)?
                 };
                 self.finish_window(window, index)
@@ -255,10 +251,7 @@ impl AirFinger {
         }
         if let Some(filter) = &self.filter {
             let is_gesture = {
-                let _s =
-                    airfinger_obs::span!("pipeline_stage_seconds", stage = "filter").with_latency(
-                        airfinger_obs::latency!("pipeline_stage_ns", stage = "filter"),
-                    );
+                let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "filter");
                 filter.is_gesture(window)?
             };
             if !is_gesture {
@@ -269,10 +262,7 @@ impl AirFinger {
             }
         }
         let features = {
-            let _s =
-                airfinger_obs::span!("pipeline_stage_seconds", stage = "features").with_latency(
-                    airfinger_obs::latency!("pipeline_stage_ns", stage = "features"),
-                );
+            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "features");
             self.detect.features(window)
         };
         Ok(PreparedWindow::Pending(features))
@@ -307,11 +297,7 @@ impl AirFinger {
                 // recognized class supplies the direction (the two agree
                 // when the envelope lag is clean).
                 let tracked = {
-                    let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "zebra")
-                        .with_latency(airfinger_obs::latency!(
-                            "pipeline_stage_ns",
-                            stage = "zebra"
-                        ));
+                    let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "zebra");
                     self.zebra.track(window)
                 };
                 let track = match tracked {

@@ -311,15 +311,11 @@ impl DataProcessor {
     // lint: hot-path-root — hosts the sbc/threshold/segment stage spans
     fn stages(&self, trace: &RssTrace) -> (Vec<Vec<f64>>, Vec<Vec<f64>>, Vec<f64>, Vec<Segment>) {
         let delta = {
-            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "sbc")
-                .with_latency(airfinger_obs::latency!("pipeline_stage_ns", stage = "sbc"));
+            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "sbc");
             self.sbc(trace)
         };
         let (smoothed, thresholds) = {
-            let _s =
-                airfinger_obs::span!("pipeline_stage_seconds", stage = "threshold").with_latency(
-                    airfinger_obs::latency!("pipeline_stage_ns", stage = "threshold"),
-                );
+            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "threshold");
             let smoothed = self.smoothed(&delta);
             let thresholds = self.thresholds(&smoothed);
             (smoothed, thresholds)
@@ -329,10 +325,7 @@ impl DataProcessor {
             airfinger_obs::gauge!("pipeline_otsu_threshold").set(mean);
         }
         let segments = {
-            let _s =
-                airfinger_obs::span!("pipeline_stage_seconds", stage = "segment").with_latency(
-                    airfinger_obs::latency!("pipeline_stage_ns", stage = "segment"),
-                );
+            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "segment");
             Segmenter::new(self.config.segmenter).segment_multi(&smoothed, &thresholds)
         };
         airfinger_obs::counter!("pipeline_segments_found_total").add(segments.len() as u64);

@@ -157,9 +157,10 @@ impl Shard {
                             }
                         }
                     }
-                    // Width mismatches are rejected at enqueue, so an
-                    // errored push here is counted, never propagated —
-                    // one bad session must not stall its shard.
+                    // Width mismatches are rejected at enqueue; a
+                    // non-finite sample errors here and is counted, never
+                    // propagated — one bad session must not stall its
+                    // shard.
                     Err(_) => session.errors += 1,
                 }
             }

@@ -15,16 +15,22 @@ impl Snapshot {
     /// {
     ///   "counters": [{"name": "...", "labels": {...}, "value": 1}],
     ///   "gauges": [{"name": "...", "labels": {...}, "value": 1.5}],
-    ///   "histograms": [{"name": "...", "labels": {...}, "count": 2,
-    ///                   "sum": 0.5, "mean": 0.25,
-    ///                   "p50": 0.25, "p95": 0.5, "p99": 0.5,
-    ///                   "buckets": [{"le": 1.0, "count": 2},
+    ///   "histograms": [{"name": "x_seconds", "labels": {...}, "count": 2,
+    ///                   "sum": 0.0000015, "mean": 0.00000075,
+    ///                   "p50": 0.000000511, "p95": 0.000001,
+    ///                   "p99": 0.000001, "max": 0.000001,
+    ///                   "buckets": [{"le": 0.000000511, "count": 1},
+    ///                               {"le": 0.000001023, "count": 2},
     ///                               {"le": "+Inf", "count": 2}]}]
     /// }
     /// ```
     ///
-    /// Non-finite values never appear: an empty histogram exports
-    /// `"mean": 0` and `null` percentiles.
+    /// Histogram values are in export units (seconds for `_seconds`
+    /// names, see [`HistogramSnapshot`]); percentiles follow
+    /// [`HistogramSnapshot::quantile_raw`]; `buckets` lists the non-empty
+    /// buckets with cumulative counts, closed by `+Inf`. Non-finite
+    /// values never appear: an empty histogram exports `"mean": 0` and
+    /// `null` percentiles and max.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n  \"counters\": [");
@@ -80,24 +86,19 @@ impl Snapshot {
         for h in &self.histograms {
             prom_header(&mut out, &h.id.name, &h.help, "histogram");
             let base = sanitize_name(&h.id.name);
-            for (edge, count) in h
-                .edges
-                .iter()
-                .map(|e| prom_number(*e))
-                .chain(std::iter::once("+Inf".to_string()))
-                .zip(&h.cumulative)
-            {
+            for (edge, count) in h.cumulative() {
+                let le = edge.map_or_else(|| "+Inf".to_string(), |e| prom_number(h.scaled(e)));
                 let _ = writeln!(
                     out,
                     "{} {count}",
-                    prom_identity_named(&format!("{base}_bucket"), &h.id, &[("le", &edge)])
+                    prom_identity_named(&format!("{base}_bucket"), &h.id, &[("le", &le)])
                 );
             }
             let _ = writeln!(
                 out,
                 "{} {}",
                 prom_identity_named(&format!("{base}_sum"), &h.id, &[]),
-                prom_number(h.sum)
+                prom_number(h.scaled(h.sum))
             );
             let _ = writeln!(
                 out,
@@ -106,28 +107,28 @@ impl Snapshot {
                 h.count
             );
             // A histogram-typed metric cannot carry {quantile=} series, so
-            // the streaming percentiles export as a companion summary.
+            // the bucket percentiles and the exact max (quantile 1)
+            // export as a companion summary.
             if h.count > 0 {
                 let qname = format!("{base}_quantiles");
                 prom_header(&mut out, &qname, &h.help, "summary");
-                for (label, value) in h.percentiles.entries() {
-                    let quantile = &label[1..]; // "p50" → "50"
+                for (quantile, raw) in QUANTILES
+                    .iter()
+                    .map(|&(_, label, q)| (label, h.quantile_raw(q)))
+                    .chain(std::iter::once(("1", h.max)))
+                {
                     let _ = writeln!(
                         out,
                         "{} {}",
-                        prom_identity_named(
-                            &qname,
-                            &h.id,
-                            &[("quantile", &format!("0.{quantile}"))]
-                        ),
-                        prom_number(value)
+                        prom_identity_named(&qname, &h.id, &[("quantile", quantile)]),
+                        prom_number(h.scaled(raw))
                     );
                 }
                 let _ = writeln!(
                     out,
                     "{} {}",
                     prom_identity_named(&format!("{qname}_sum"), &h.id, &[]),
-                    prom_number(h.sum)
+                    prom_number(h.scaled(h.sum))
                 );
                 let _ = writeln!(
                     out,
@@ -140,6 +141,13 @@ impl Snapshot {
         out
     }
 }
+
+/// The exported percentiles: JSON key, Prometheus `quantile` label, `q`.
+const QUANTILES: [(&str, &str, f64); 3] = [
+    ("p50", "0.5", 0.50),
+    ("p95", "0.95", 0.95),
+    ("p99", "0.99", 0.99),
+];
 
 fn push_sep(out: &mut String, i: usize) {
     if i > 0 {
@@ -156,26 +164,23 @@ fn histogram_json(h: &HistogramSnapshot) -> String {
         json_string(&h.id.name),
         json_labels(&h.id),
         h.count,
-        json_number(h.sum),
+        json_number(h.scaled(h.sum)),
         json_number(h.mean())
     );
-    // `json_number` maps the NaN estimates of an empty histogram to null.
-    for (label, value) in h.percentiles.entries() {
-        let _ = write!(out, ", \"{label}\": {}", json_number(value));
+    let null = || "null".to_string();
+    for (label, _, q) in QUANTILES {
+        let value = h.quantile(q).map_or_else(null, json_number);
+        let _ = write!(out, ", \"{label}\": {value}");
     }
+    let max = (h.count > 0).then(|| h.scaled(h.max));
+    let _ = write!(out, ", \"max\": {}", max.map_or_else(null, json_number));
     out.push_str(", \"buckets\": [");
-    for (i, (edge, count)) in h
-        .edges
-        .iter()
-        .map(|e| json_number(*e))
-        .chain(std::iter::once("\"+Inf\"".to_string()))
-        .zip(&h.cumulative)
-        .enumerate()
-    {
+    for (i, (edge, count)) in h.cumulative().into_iter().enumerate() {
         if i > 0 {
             out.push_str(", ");
         }
-        let _ = write!(out, "{{\"le\": {edge}, \"count\": {count}}}");
+        let le = edge.map_or_else(|| "\"+Inf\"".to_string(), |e| json_number(h.scaled(e)));
+        let _ = write!(out, "{{\"le\": {le}, \"count\": {count}}}");
     }
     out.push_str("]}");
     out
@@ -338,10 +343,11 @@ mod tests {
         r.counter("events_total", &[("kind", "ok")], "Number of events")
             .add(3);
         r.gauge("depth", &[], "Queue depth").set(1.5);
-        let h = r.histogram("lat_seconds", &[], vec![0.1, 1.0], "Latency");
-        h.observe(0.05);
-        h.observe(0.5);
-        h.observe(5.0);
+        // 50 ms, 500 ms and 5 s, recorded in nanoseconds like a span.
+        let h = r.histogram("lat_seconds", &[], "Latency");
+        h.record(50_000_000);
+        h.record(500_000_000);
+        h.record(5_000_000_000);
         r
     }
 
@@ -381,9 +387,15 @@ mod tests {
         assert!(text.contains("# TYPE events_total counter\n"));
         assert!(text.contains("events_total{kind=\"ok\"} 3\n"));
         assert!(text.contains("# TYPE lat_seconds histogram\n"));
-        assert!(text.contains("lat_seconds_bucket{le=\"0.1\"} 1\n"));
-        assert!(text.contains("lat_seconds_bucket{le=\"1\"} 2\n"));
+        // Log2 nanosecond edges, exported in seconds.
+        assert!(
+            text.contains("lat_seconds_bucket{le=\"0.067108863\"} 1\n"),
+            "{text}"
+        );
+        assert!(text.contains("lat_seconds_bucket{le=\"0.536870911\"} 2\n"));
+        assert!(text.contains("lat_seconds_bucket{le=\"8.589934591\"} 3\n"));
         assert!(text.contains("lat_seconds_bucket{le=\"+Inf\"} 3\n"));
+        assert!(text.contains("lat_seconds_sum 5.55\n"));
         assert!(text.contains("lat_seconds_count 3\n"));
         assert!(text.contains("depth 1.5\n"));
     }
@@ -447,7 +459,7 @@ mod tests {
     #[test]
     fn empty_histogram_exports_finite_json_and_parses_back() {
         let r = Registry::new();
-        let _ = r.histogram("idle_seconds", &[], vec![0.1, 1.0], "never observed");
+        let _ = r.histogram("idle_seconds", &[], "never observed");
         let json = r.snapshot().to_json();
         assert!(!json.contains("NaN") && !json.contains("inf"), "{json}");
         let value: serde::Value = serde_json::from_str(&json).expect("empty snapshot parses back");
@@ -455,9 +467,12 @@ mod tests {
         let h = hists.as_array().unwrap()[0].as_object().unwrap();
         assert_eq!(h.get("mean").unwrap().as_f64(), Some(0.0));
         assert_eq!(h.get("count").unwrap().as_u64(), Some(0));
-        for p in ["p50", "p95", "p99"] {
+        for p in ["p50", "p95", "p99", "max"] {
             assert!(h.get(p).unwrap().is_null(), "{p} must be null when empty");
         }
+        // Only the `+Inf` bucket, at zero.
+        let buckets = h.get("buckets").unwrap().as_array().unwrap();
+        assert_eq!(buckets.len(), 1);
         // The Prometheus side emits no quantile summary for an empty
         // histogram (a NaN quantile sample would poison scrapes).
         assert!(!r.snapshot().to_prometheus().contains("_quantiles"));
@@ -470,11 +485,104 @@ mod tests {
         let value: serde::Value = serde_json::from_str(&snap.to_json()).unwrap();
         let hists = value.as_object().unwrap().get("histograms").unwrap();
         let h = hists.as_array().unwrap()[0].as_object().unwrap();
-        // 3 observations → warm-up → exact median of {0.05, 0.5, 5.0}.
-        let p50 = h.get("p50").unwrap().as_f64().unwrap();
-        assert!((p50 - 0.5).abs() < 1e-12);
-        let p99 = h.get("p99").unwrap().as_f64().unwrap();
-        assert!(p50 <= p99);
+        let field = |k: &str| h.get(k).unwrap().as_f64().unwrap();
+        // Rank walk over {50 ms, 500 ms, 5 s}: each rank reports its
+        // bucket's upper edge, capped at the exact max, in seconds.
+        assert_eq!(field("p50"), 0.536870911);
+        assert_eq!(field("p99"), 5.0);
+        assert_eq!(field("max"), 5.0);
+        assert_eq!(field("sum"), 5.55);
+        assert!(field("p50") <= field("p95") && field("p95") <= field("p99"));
+        assert!((field("mean") - 1.85).abs() < 1e-12);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn json_export_elides_empty_buckets() {
+        let r = Registry::new();
+        let h = r.histogram("elide_seconds", &[("stage", "sbc")], "");
+        h.record(100);
+        h.record(100);
+        h.record(5_000);
+        let json = r.snapshot().to_json();
+        assert!(json.contains("\"stage\": \"sbc\""), "{json}");
+        // Two non-empty buckets (edges 127 ns and 8191 ns), cumulative,
+        // then +Inf; nothing for the empty buckets in between.
+        assert!(
+            json.contains(
+                "\"buckets\": [{\"le\": 0.000000127, \"count\": 2}, \
+                 {\"le\": 0.000008191, \"count\": 3}, {\"le\": \"+Inf\", \"count\": 3}]"
+            ),
+            "{json}"
+        );
+    }
+
+    /// Every exported percentile ladder is ordered and capped by the
+    /// max, whatever the distribution (overflow-bucket ranks report the
+    /// exact max, so p99 ≤ max holds there too).
+    #[cfg(feature = "obs")]
+    #[test]
+    fn percentiles_are_ordered_up_to_the_max() {
+        let r = Registry::new();
+        let h = r.histogram("ladder_seconds", &[], "");
+        for (i, v) in [0u64, 1, 7, 900, 1_000, 65_000, 1 << 40, u64::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            for _ in 0..=i {
+                h.record(v);
+            }
+            let snap = r.snapshot();
+            let s = snap.histogram("ladder_seconds", &[]).unwrap();
+            let [p50, p95, p99] = [0.50, 0.95, 0.99].map(|q| s.quantile_raw(q));
+            assert!(p50 <= p95 && p95 <= p99 && p99 <= s.max, "{i}");
+            assert!(s.quantile(0.5).is_some());
+        }
+    }
+
+    /// `_seconds` histograms record nanoseconds and export seconds; every
+    /// other histogram (the `parallel_worker_jobs` counts) exports the
+    /// recorded values unscaled.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn seconds_names_export_in_seconds_and_counts_unscaled() {
+        let r = Registry::new();
+        r.histogram("push_seconds", &[], "").record(1_500);
+        r.histogram("parallel_worker_jobs", &[("op", "map")], "")
+            .record(12);
+        let value: serde::Value = serde_json::from_str(&r.snapshot().to_json()).unwrap();
+        let hists = value.as_object().unwrap().get("histograms").unwrap();
+        let by_name = |name: &str| {
+            hists
+                .as_array()
+                .unwrap()
+                .iter()
+                .map(|h| h.as_object().unwrap())
+                .find(|h| h.get("name").unwrap().as_str() == Some(name))
+                .unwrap()
+        };
+        let jobs = by_name("parallel_worker_jobs");
+        assert_eq!(jobs.get("sum").unwrap().as_f64(), Some(12.0));
+        assert_eq!(jobs.get("max").unwrap().as_f64(), Some(12.0));
+        assert_eq!(jobs.get("p50").unwrap().as_f64(), Some(12.0));
+        let push = by_name("push_seconds");
+        assert_eq!(push.get("sum").unwrap().as_f64(), Some(1.5e-6));
+        assert_eq!(push.get("max").unwrap().as_f64(), Some(1.5e-6));
+        assert_eq!(push.get("p50").unwrap().as_f64(), Some(1.5e-6));
+        let text = r.snapshot().to_prometheus();
+        assert!(
+            text.contains("parallel_worker_jobs_bucket{op=\"map\",le=\"15\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("parallel_worker_jobs_sum{op=\"map\"} 12\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("push_seconds_bucket{le=\"0.000002047\"} 1\n"),
+            "{text}"
+        );
+        assert!(text.contains("push_seconds_sum 0.0000015\n"), "{text}");
     }
 
     #[cfg(feature = "obs")]
@@ -482,10 +590,12 @@ mod tests {
     fn prometheus_emits_quantile_summary() {
         let text = sample_registry().snapshot().to_prometheus();
         assert!(text.contains("# TYPE lat_seconds_quantiles summary\n"));
-        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.50\"} 0.5\n"));
-        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.95\"}"));
-        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.99\"}"));
-        assert!(text.contains("lat_seconds_quantiles_sum"));
+        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.5\"} 0.536870911\n"));
+        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.95\"} 5\n"));
+        assert!(text.contains("lat_seconds_quantiles{quantile=\"0.99\"} 5\n"));
+        // Quantile 1 is the exact max.
+        assert!(text.contains("lat_seconds_quantiles{quantile=\"1\"} 5\n"));
+        assert!(text.contains("lat_seconds_quantiles_sum 5.55\n"));
         assert!(text.contains("lat_seconds_quantiles_count 3\n"));
     }
 
@@ -528,14 +638,53 @@ mod tests {
             .filter(|l| l.starts_with("lat_seconds_bucket"))
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .collect();
-        assert_eq!(buckets, vec![1, 2, 3]);
+        assert_eq!(buckets, vec![1, 2, 3, 3]);
         assert!(buckets.windows(2).all(|w| w[0] <= w[1]));
+        assert!(lines
+            .iter()
+            .rfind(|l| l.starts_with("lat_seconds_bucket"))
+            .unwrap()
+            .contains("le=\"+Inf\""));
         let count: u64 = lines
             .iter()
             .find(|l| l.starts_with("lat_seconds_count"))
             .map(|l| l.rsplit(' ').next().unwrap().parse().unwrap())
             .unwrap();
         assert_eq!(*buckets.last().unwrap(), count);
+    }
+
+    /// A histogram that is not a `_seconds` family exports its log2 edges
+    /// unscaled: cumulative `_bucket` lines up to `+Inf`, the `_count`,
+    /// and the quantile summary.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn prometheus_histogram_buckets_are_cumulative_with_inf() {
+        let r = Registry::new();
+        let h = r.histogram("prom_cumulative_ns", &[], "");
+        h.record(2);
+        h.record(100);
+        let text = r.snapshot().to_prometheus();
+        assert!(
+            text.contains("# TYPE prom_cumulative_ns histogram\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("prom_cumulative_ns_bucket{le=\"3\"} 1\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("prom_cumulative_ns_bucket{le=\"127\"} 2\n"),
+            "{text}"
+        );
+        assert!(
+            text.contains("prom_cumulative_ns_bucket{le=\"+Inf\"} 2\n"),
+            "{text}"
+        );
+        assert!(text.contains("prom_cumulative_ns_count 2\n"), "{text}");
+        assert!(
+            text.contains("prom_cumulative_ns_quantiles{quantile=\"0.99\"}"),
+            "{text}"
+        );
     }
 
     /// Round-trip: a hostile label value survives escaping and a simple

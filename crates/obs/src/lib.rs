@@ -7,11 +7,12 @@
 //! - **Counters** — monotone, saturating `u64` event counts
 //!   ([`Counter`]).
 //! - **Gauges** — instantaneous `f64` values ([`Gauge`]).
-//! - **Histograms** — fixed-bucket latency/size distributions
-//!   ([`Histogram`]).
+//! - **Histograms** — lock-free log2-bucketed `u64` distributions
+//!   ([`Histogram`]); names ending `_seconds` record nanoseconds and
+//!   export seconds.
 //! - **Spans** — RAII timers over [`std::time::Instant`] that record
-//!   elapsed seconds into a histogram and optionally print on completion
-//!   ([`Span`]).
+//!   elapsed nanoseconds into a histogram, once, and optionally print on
+//!   completion ([`Span`]).
 //! - **Exporters** — machine-readable JSON and Prometheus text format
 //!   over a [`Snapshot`] of the global registry ([`export`]), plus a
 //!   structured [`report::RunReport`] for whole-run artifacts.
@@ -36,7 +37,8 @@
 //!
 //! Metrics live in a global [`Registry`]. Registration (name → handle)
 //! takes a mutex once; handles are `Arc`-backed and every record
-//! operation afterwards is a handful of relaxed atomic ops. The
+//! operation afterwards is a handful of relaxed atomic ops — no lock,
+//! no allocation, for counters, gauges and histograms alike. The
 //! [`counter!`]/[`gauge!`]/[`histogram!`]/[`span!`] macros cache the
 //! handle in a per-call-site `OnceLock`, so hot paths never re-enter the
 //! registry lock.
@@ -78,11 +80,9 @@ pub mod budget;
 pub mod events;
 pub mod export;
 pub mod health;
-pub mod latency;
 pub mod metrics;
 pub mod monitor;
 pub mod profile;
-pub mod quantile;
 pub mod recorder;
 pub mod registry;
 pub mod report;
@@ -96,13 +96,11 @@ pub use alloc::{AllocStats, CountingAlloc};
 pub use budget::{BudgetConfig, BurnAlert, BurnSpeed, ErrorBudget};
 pub use events::{Event, EventKind, Journal};
 pub use health::{HealthModel, HealthReason, HealthState, SloRules, Transition};
-pub use latency::{LatencyHist, LatencySnapshot};
 pub use metrics::{Counter, Gauge, Histogram};
 pub use monitor::{EngineMonitor, MonitorConfig};
 pub use profile::{PathStats, ProfileSnapshot};
-pub use quantile::{PercentileSnapshot, Percentiles, P2};
 pub use recorder::{Dump, FlightRecorder, RecorderConfig};
-pub use registry::{global, MetricId, Registry, Snapshot};
+pub use registry::{global, HistogramSnapshot, MetricId, Registry, Snapshot};
 pub use serve::ScrapeServer;
 pub use span::Span;
 pub use window::{Outcome, SlidingWindow, WindowConfig, WindowStats};
@@ -170,27 +168,26 @@ pub fn gauge_with(name: &str, labels: &[(&str, &str)]) -> Gauge {
     global().gauge(name, labels, "")
 }
 
-/// Register (or fetch) an unlabelled latency histogram (default
-/// exponential seconds buckets) in the global registry.
+/// Register (or fetch) an unlabelled histogram in the global registry.
 #[must_use]
 pub fn histogram(name: &str) -> Histogram {
-    global().histogram(name, &[], metrics::default_latency_edges(), "")
+    global().histogram(name, &[], "")
 }
 
-/// Register (or fetch) a labelled histogram with explicit bucket edges.
+/// Register (or fetch) a labelled histogram in the global registry.
 #[must_use]
-pub fn histogram_with(name: &str, labels: &[(&str, &str)], edges: &[f64]) -> Histogram {
-    global().histogram(name, labels, edges.to_vec(), "")
+pub fn histogram_with(name: &str, labels: &[(&str, &str)]) -> Histogram {
+    global().histogram(name, labels, "")
 }
 
-/// Start a span recording into a labelled latency histogram. Prefer the
+/// Start a span recording into a labelled histogram. Prefer the
 /// [`span!`] macro when the labels are static — it caches the handle.
 pub fn span_with(name: &str, labels: &[(&str, &str)]) -> Span {
     if !recording() {
         return Span::disabled();
     }
     Span::from_histogram_named(
-        global().histogram(name, labels, metrics::default_latency_edges(), ""),
+        global().histogram(name, labels, ""),
         MetricId::new(name, labels).to_string(),
     )
 }
@@ -221,28 +218,20 @@ macro_rules! gauge {
     }};
 }
 
-/// Cache-and-fetch a statically-labelled latency [`Histogram`] (default
-/// exponential seconds buckets).
+/// Cache-and-fetch a statically-labelled [`Histogram`].
 ///
 /// Labels must be string literals (the handle is cached per call site).
 #[macro_export]
 macro_rules! histogram {
     ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
         static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-        HANDLE.get_or_init(|| {
-            $crate::global().histogram(
-                $name,
-                &[$((stringify!($k), $v)),*],
-                $crate::metrics::default_latency_edges(),
-                "",
-            )
-        })
+        HANDLE.get_or_init(|| $crate::global().histogram($name, &[$((stringify!($k), $v)),*], ""))
     }};
 }
 
-/// Start a [`Span`] recording elapsed seconds into a statically-labelled
-/// latency histogram. The histogram handle is cached per call site, so
-/// this is safe on hot paths.
+/// Start a [`Span`] recording its elapsed nanoseconds into a
+/// statically-labelled `_seconds` histogram. The histogram handle is
+/// cached per call site, so this is safe on hot paths.
 ///
 /// ```
 /// let _span = airfinger_obs::span!("pipeline_stage_seconds", stage = "sbc");
@@ -252,14 +241,8 @@ macro_rules! span {
     ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
         if $crate::recording() {
             static HANDLE: ::std::sync::OnceLock<$crate::Histogram> = ::std::sync::OnceLock::new();
-            let histogram = HANDLE.get_or_init(|| {
-                $crate::global().histogram(
-                    $name,
-                    &[$((stringify!($k), $v)),*],
-                    $crate::metrics::default_latency_edges(),
-                    "",
-                )
-            });
+            let histogram = HANDLE
+                .get_or_init(|| $crate::global().histogram($name, &[$((stringify!($k), $v)),*], ""));
             $crate::Span::from_histogram(
                 histogram.clone(),
                 concat!($name $(, "{", stringify!($k), "=", $v, "}")*),
@@ -267,28 +250,6 @@ macro_rules! span {
         } else {
             $crate::Span::disabled()
         }
-    }};
-}
-
-/// Cache-and-fetch a statically-labelled nanosecond [`LatencyHist`].
-///
-/// Labels must be string literals (the handle is cached per call site).
-/// Returns an owned handle (a cheap `Arc` bump) so the expression can be
-/// passed straight into [`Span::with_latency`] without a visible clone at
-/// the call site — the record path after caching is a few relaxed
-/// atomics, no allocation, no lock.
-///
-/// ```
-/// let hist = airfinger_obs::latency!("demo_stage_ns", stage = "sbc");
-/// hist.record(1_250);
-/// ```
-#[macro_export]
-macro_rules! latency {
-    ($name:expr $(, $k:ident = $v:expr)* $(,)?) => {{
-        static HANDLE: ::std::sync::OnceLock<$crate::LatencyHist> = ::std::sync::OnceLock::new();
-        HANDLE
-            .get_or_init(|| $crate::latency::hist_with($name, &[$((stringify!($k), $v)),*]))
-            .clone()
     }};
 }
 
@@ -339,5 +300,26 @@ mod tests {
             // registry at all.
             assert!(h.is_none());
         }
+    }
+
+    /// A span records its duration once: one record in its `_seconds`
+    /// histogram, and no twin family anywhere in the registry.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn one_span_drop_records_once() {
+        {
+            let _span = span!("lib_once_seconds", stage = "x");
+        }
+        let snap = global().snapshot();
+        let records: Vec<(String, u64)> = snap
+            .histograms
+            .iter()
+            .filter(|h| h.id.name.starts_with("lib_once"))
+            .map(|h| (h.id.to_string(), h.count))
+            .collect();
+        assert_eq!(
+            records,
+            vec![(r#"lib_once_seconds{stage="x"}"#.to_string(), 1)]
+        );
     }
 }

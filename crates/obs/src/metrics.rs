@@ -1,25 +1,13 @@
-//! Metric primitives: counters, gauges, and fixed-bucket histograms.
+//! Metric primitives: counters, gauges, and log2-bucketed histograms.
 //!
 //! Handles are cheap `Arc` clones around atomics; every record operation
 //! is a few relaxed atomic instructions, safe to share across the
 //! workspace's scoped worker threads. All record paths short-circuit when
 //! [`crate::recording`] is off.
 
-use crate::quantile::{PercentileSnapshot, Percentiles};
+use crate::registry::{HistogramSnapshot, MetricId};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// Default histogram bucket upper bounds for latencies, in seconds:
-/// roughly exponential from 1 µs to 10 s, dense around the pipeline's
-/// per-stage millisecond range. The implicit `+Inf` bucket is appended by
-/// the histogram itself.
-#[must_use]
-pub fn default_latency_edges() -> Vec<f64> {
-    vec![
-        1e-6, 1e-5, 5e-5, 1e-4, 2.5e-4, 5e-4, 1e-3, 2.5e-3, 5e-3, 1e-2, 2.5e-2, 5e-2, 0.1, 0.25,
-        0.5, 1.0, 2.5, 5.0, 10.0,
-    ]
-}
+use std::sync::Arc;
 
 /// A monotone event counter.
 ///
@@ -134,85 +122,91 @@ impl Gauge {
     }
 }
 
-/// A fixed-bucket histogram.
+/// Number of histogram buckets: one per possible bit length of a `u64`
+/// (the zero bucket folded into index 0).
+pub const BUCKETS: usize = 64;
+
+/// The bucket a value lands in: 0 for 0, otherwise the value's bit
+/// length, clamped so bucket 63 absorbs everything ≥ 2^62.
+#[must_use]
+#[inline]
+pub fn bucket_index(v: u64) -> usize {
+    let bits = (u64::BITS - v.leading_zeros()) as usize;
+    bits.min(BUCKETS - 1)
+}
+
+/// The inclusive upper edge of a bucket: 0 for bucket 0, `2^i − 1` for
+/// buckets 1..=62, and `u64::MAX` for the overflow bucket 63.
+#[must_use]
+#[inline]
+pub fn bucket_upper(index: usize) -> u64 {
+    match index {
+        0 => 0,
+        i if i >= BUCKETS - 1 => u64::MAX,
+        i => (1u64 << i) - 1,
+    }
+}
+
+/// A lock-free histogram of `u64` values with power-of-two buckets.
 ///
-/// Buckets follow Prometheus `le` semantics: bucket `i` counts
-/// observations `v <= edges[i]`; one implicit `+Inf` bucket catches the
-/// rest. Edges are fixed at registration.
+/// Spans record elapsed nanoseconds; other histograms record plain counts
+/// (`parallel_worker_jobs`). Bucket `0` holds exact zeros, bucket `i`
+/// (1 ≤ i ≤ 62) holds `[2^(i−1), 2^i − 1]`, and bucket 63 holds
+/// everything from `2^62` up. Recording is a handful of relaxed atomics:
+/// no allocation, no lock, no syscall, so it is legal inside functions
+/// audited by lint rule H. The exact count, sum and max ride alongside
+/// the buckets; percentiles are derived at export time
+/// ([`crate::registry::HistogramSnapshot::quantile_raw`]).
 ///
-/// Alongside the lock-free bucket counts, every histogram carries a set
-/// of P² streaming quantile estimators (p50/p95/p99, see
-/// [`crate::quantile`]) guarded by a short critical section — the only
-/// lock on the observe path, held for a few dozen float ops. Percentile
-/// estimates, like the bucket distribution itself, depend on observation
-/// order and are therefore *scheduling observations*: excluded from the
-/// cross-thread determinism contract that covers counters.
-#[derive(Debug, Clone)]
+/// Cloning is a cheap `Arc` bump; all clones observe the same buckets.
+#[derive(Debug, Clone, Default)]
 pub struct Histogram {
     inner: Arc<HistogramInner>,
 }
 
 #[derive(Debug)]
 struct HistogramInner {
-    /// Strictly increasing, finite upper bounds (`+Inf` is implicit).
-    edges: Vec<f64>,
-    /// Per-bucket counts, `edges.len() + 1` entries (last is `+Inf`).
-    buckets: Vec<AtomicU64>,
+    buckets: [AtomicU64; BUCKETS],
     count: AtomicU64,
-    sum_bits: AtomicU64,
-    quantiles: Mutex<Percentiles>,
+    sum: AtomicU64,
+    max: AtomicU64,
+}
+
+impl Default for HistogramInner {
+    fn default() -> Self {
+        HistogramInner {
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            max: AtomicU64::new(0),
+        }
+    }
 }
 
 impl Histogram {
-    /// Create a detached histogram with the given bucket upper bounds.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `edges` is empty, non-finite, or not strictly increasing
-    /// — bucket layouts are static configuration, and a malformed one is
-    /// a programming error best caught at registration.
+    /// Create a detached histogram (local measurements and tests;
+    /// instrumentation should go through [`crate::histogram!`] or the
+    /// registry).
     #[must_use]
-    pub fn new(edges: Vec<f64>) -> Self {
-        assert!(
-            !edges.is_empty(),
-            "histogram needs at least one bucket edge"
-        );
-        assert!(
-            edges.windows(2).all(|w| w[0] < w[1]) && edges.iter().all(|e| e.is_finite()),
-            "histogram edges must be finite and strictly increasing: {edges:?}"
-        );
-        let buckets = (0..=edges.len()).map(|_| AtomicU64::new(0)).collect();
-        Histogram {
-            inner: Arc::new(HistogramInner {
-                edges,
-                buckets,
-                count: AtomicU64::new(0),
-                sum_bits: AtomicU64::new(0.0f64.to_bits()),
-                quantiles: Mutex::new(Percentiles::new()),
-            }),
-        }
+    pub fn new() -> Self {
+        Histogram::default()
     }
 
-    /// The bucket upper bounds (without the implicit `+Inf`).
-    #[must_use]
-    pub fn edges(&self) -> &[f64] {
-        &self.inner.edges
-    }
-
-    /// Record one observation. `NaN` observations are dropped.
+    /// Record one value.
     #[inline]
-    pub fn observe(&self, v: f64) {
-        if !crate::recording() || v.is_nan() {
+    pub fn record(&self, v: u64) {
+        if !crate::recording() {
             return;
         }
-        // First edge >= v, i.e. the `le` bucket; the +Inf bucket when none.
-        let bucket = self.inner.edges.partition_point(|&e| e < v);
-        self.inner.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        let mut current = self.inner.sum_bits.load(Ordering::Relaxed);
+        let inner = &*self.inner;
+        inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        inner.count.fetch_add(1, Ordering::Relaxed);
+        // Saturate rather than wrap: ~584 years of accumulated
+        // nanoseconds should clamp, not jump backwards mid-scrape.
+        let mut current = inner.sum.load(Ordering::Relaxed);
         loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match self.inner.sum_bits.compare_exchange_weak(
+            let next = current.saturating_add(v);
+            match inner.sum.compare_exchange_weak(
                 current,
                 next,
                 Ordering::Relaxed,
@@ -222,60 +216,57 @@ impl Histogram {
                 Err(observed) => current = observed,
             }
         }
-        self.inner
-            .quantiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .observe(v);
+        inner.max.fetch_max(v, Ordering::Relaxed);
     }
 
-    /// Total number of observations.
+    /// Total number of recorded values.
     #[must_use]
     pub fn count(&self) -> u64 {
         self.inner.count.load(Ordering::Relaxed)
     }
 
-    /// Sum of all observations.
+    /// Saturating sum of all recorded values.
     #[must_use]
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.inner.sum_bits.load(Ordering::Relaxed))
+    pub fn sum(&self) -> u64 {
+        self.inner.sum.load(Ordering::Relaxed)
     }
 
-    /// Per-bucket counts (non-cumulative), `edges.len() + 1` entries; the
-    /// last entry is the `+Inf` bucket.
+    /// Largest recorded value.
     #[must_use]
-    pub fn bucket_counts(&self) -> Vec<u64> {
-        self.inner
-            .buckets
-            .iter()
-            .map(|b| b.load(Ordering::Relaxed))
-            .collect()
+    pub fn max(&self) -> u64 {
+        self.inner.max.load(Ordering::Relaxed)
     }
 
-    /// Current p50/p95/p99 estimates (all `NaN` when no observations).
+    /// Per-bucket counts (non-cumulative), exactly [`BUCKETS`] entries.
     #[must_use]
-    pub fn percentiles(&self) -> PercentileSnapshot {
-        self.inner
-            .quantiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .snapshot()
+    pub fn bucket_counts(&self) -> [u64; BUCKETS] {
+        std::array::from_fn(|i| self.inner.buckets[i].load(Ordering::Relaxed))
     }
 
-    /// Zero every bucket, the count, the sum, and the quantile markers.
+    /// A point-in-time copy for export. Bucket loads are individually
+    /// atomic; a snapshot racing a record may miss the in-flight value,
+    /// which is fine for telemetry.
+    #[must_use]
+    pub fn snapshot(&self, id: MetricId, help: String) -> HistogramSnapshot {
+        HistogramSnapshot {
+            id,
+            help,
+            count: self.count(),
+            sum: self.sum(),
+            max: self.max(),
+            buckets: self.bucket_counts(),
+        }
+    }
+
+    /// Zero every bucket and the count/sum/max in place, so cached
+    /// handles keep working (see [`crate::Registry::reset`]).
     pub fn reset(&self) {
         for b in &self.inner.buckets {
             b.store(0, Ordering::Relaxed);
         }
         self.inner.count.store(0, Ordering::Relaxed);
-        self.inner
-            .sum_bits
-            .store(0.0f64.to_bits(), Ordering::Relaxed);
-        self.inner
-            .quantiles
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .reset();
+        self.inner.sum.store(0, Ordering::Relaxed);
+        self.inner.max.store(0, Ordering::Relaxed);
     }
 }
 
@@ -322,88 +313,119 @@ mod tests {
         assert_eq!(g.value(), 0.0);
     }
 
+    #[test]
+    fn bucket_index_boundaries() {
+        assert_eq!(bucket_index(0), 0);
+        assert_eq!(bucket_index(1), 1);
+        assert_eq!(bucket_index(2), 2);
+        assert_eq!(bucket_index(3), 2);
+        assert_eq!(bucket_index(4), 3);
+        // Every power of two opens a new bucket; its predecessor closes
+        // the previous one.
+        for i in 1..62 {
+            let edge = 1u64 << i;
+            assert_eq!(bucket_index(edge), i + 1, "2^{i}");
+            assert_eq!(bucket_index(edge - 1), i, "2^{i} - 1");
+        }
+        // The overflow bucket absorbs 2^62 .. u64::MAX.
+        assert_eq!(bucket_index(1u64 << 62), 63);
+        assert_eq!(bucket_index(u64::MAX), 63);
+    }
+
+    #[test]
+    fn bucket_upper_matches_index() {
+        assert_eq!(bucket_upper(0), 0);
+        assert_eq!(bucket_upper(1), 1);
+        assert_eq!(bucket_upper(2), 3);
+        assert_eq!(bucket_upper(62), (1u64 << 62) - 1);
+        assert_eq!(bucket_upper(63), u64::MAX);
+        // Every value's bucket upper edge is >= the value.
+        for v in [0, 1, 2, 3, 4, 1000, 1 << 40, u64::MAX] {
+            assert!(bucket_upper(bucket_index(v)) >= v, "{v}");
+        }
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn records_extremes_without_losing_counts() {
+        let h = Histogram::new();
+        h.record(0);
+        h.record(1);
+        h.record(u64::MAX);
+        assert_eq!(h.count(), 3);
+        assert_eq!(h.max(), u64::MAX);
+        let buckets = h.bucket_counts();
+        assert_eq!(buckets[0], 1);
+        assert_eq!(buckets[1], 1);
+        assert_eq!(buckets[63], 1);
+        // The sum saturates instead of wrapping.
+        assert_eq!(h.sum(), u64::MAX);
+    }
+
     #[cfg(feature = "obs")]
     #[test]
     fn histogram_bucket_edges_are_le_inclusive() {
-        let h = Histogram::new(vec![1.0, 2.0, 5.0]);
-        // Exactly on an edge lands in that edge's bucket (Prometheus `le`).
-        h.observe(1.0);
-        h.observe(2.0);
-        h.observe(5.0);
-        // Strictly between edges lands in the next bucket up.
-        h.observe(1.5);
-        // Below the first edge lands in the first bucket.
-        h.observe(0.0);
-        h.observe(-3.0);
-        // Above the last edge lands in the implicit +Inf bucket.
-        h.observe(100.0);
-        h.observe(f64::INFINITY);
-        assert_eq!(h.bucket_counts(), vec![3, 2, 1, 2]);
-        assert_eq!(h.count(), 8);
+        let h = Histogram::new();
+        // An upper edge lands in its own bucket (Prometheus `le`); the
+        // next value up opens the next bucket.
+        h.record(3);
+        h.record(4);
+        h.record(7);
+        h.record(8);
+        let buckets = h.bucket_counts();
+        assert_eq!(buckets[2..5], [1, 2, 1]);
+        assert_eq!(bucket_upper(2), 3);
+        assert_eq!(bucket_upper(3), 7);
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn histogram_sum_accumulates() {
-        let h = Histogram::new(vec![1.0]);
-        h.observe(0.25);
-        h.observe(0.5);
-        h.observe(4.0);
-        assert!((h.sum() - 4.75).abs() < 1e-12);
+        let h = Histogram::new();
+        h.record(250);
+        h.record(500);
+        h.record(4_000);
+        assert_eq!(h.sum(), 4_750);
+        assert_eq!(h.max(), 4_000);
         h.reset();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.sum(), 0.0);
-        assert_eq!(h.bucket_counts(), vec![0, 0]);
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn histogram_drops_nan() {
-        let h = Histogram::new(vec![1.0]);
-        h.observe(f64::NAN);
-        assert_eq!(h.count(), 0);
-        assert!(h.percentiles().p50.is_nan());
+        assert_eq!((h.count(), h.sum(), h.max()), (0, 0, 0));
+        assert_eq!(h.bucket_counts(), [0; BUCKETS]);
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn histogram_percentiles_track_observations() {
-        let h = Histogram::new(vec![1.0]);
-        assert!(h.percentiles().p50.is_nan());
-        for i in 1..=100 {
-            h.observe(f64::from(i) / 100.0);
+        let h = Histogram::new();
+        let snap = |h: &Histogram| h.snapshot(MetricId::new("t_seconds", &[]), String::new());
+        assert_eq!(snap(&h).quantile(0.5), None);
+        for v in 1..=100 {
+            h.record(v * 10);
         }
-        let p = h.percentiles();
-        assert!((p.p50 - 0.5).abs() < 0.1, "p50 = {}", p.p50);
-        assert!(p.p50 <= p.p95 && p.p95 <= p.p99);
+        let s = snap(&h);
+        // Rank 50 of 10..=1000 falls in the bucket ending at 511; ranks
+        // 95 and 99 in the one ending at 1023, capped at the max.
+        assert_eq!(s.quantile_raw(0.50), 511);
+        assert_eq!(s.quantile_raw(0.95), 1000);
+        assert_eq!(s.quantile_raw(0.99), 1000);
+        assert_eq!(s.max, 1000);
         h.reset();
-        assert!(h.percentiles().p50.is_nan());
-    }
-
-    #[test]
-    #[should_panic(expected = "strictly increasing")]
-    fn histogram_rejects_unsorted_edges() {
-        let _ = Histogram::new(vec![2.0, 1.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bucket edge")]
-    fn histogram_rejects_empty_edges() {
-        let _ = Histogram::new(vec![]);
+        assert_eq!(snap(&h).quantile(0.5), None);
     }
 
     #[test]
     fn default_edges_are_valid() {
-        let edges = default_latency_edges();
+        // The fixed layout: strictly increasing inclusive upper edges
+        // that together cover every `u64`.
+        let edges: Vec<u64> = (0..BUCKETS).map(bucket_upper).collect();
         assert!(edges.windows(2).all(|w| w[0] < w[1]));
-        let _ = Histogram::new(edges);
+        assert_eq!(edges[BUCKETS - 1], u64::MAX);
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn concurrent_increments_all_land() {
         let c = Counter::new();
-        let h = Histogram::new(vec![0.5, 1.5]);
+        let h = Histogram::new();
         std::thread::scope(|scope| {
             for _ in 0..4 {
                 let c = &c;
@@ -411,13 +433,14 @@ mod tests {
                 scope.spawn(move || {
                     for i in 0..1000 {
                         c.inc();
-                        h.observe(f64::from(i % 2));
+                        h.record(i % 2);
                     }
                 });
             }
         });
         assert_eq!(c.value(), 4000);
         assert_eq!(h.count(), 4000);
-        assert_eq!(h.bucket_counts(), vec![2000, 2000, 0]);
+        assert_eq!(h.bucket_counts()[..3], [2000, 2000, 0]);
+        assert_eq!(h.sum(), 2000);
     }
 }

@@ -7,8 +7,7 @@
 //! zeroes values **in place**, so handles cached in `OnceLock` statics by
 //! the [`crate::counter!`]-family macros stay valid across resets.
 
-use crate::metrics::{Counter, Gauge, Histogram};
-use crate::quantile::PercentileSnapshot;
+use crate::metrics::{bucket_upper, Counter, Gauge, Histogram, BUCKETS};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::{Mutex, OnceLock, PoisonError};
@@ -151,25 +150,17 @@ impl Registry {
         }
     }
 
-    /// Register (or fetch) a histogram. `edges` only applies on first
-    /// registration; later fetches reuse the existing bucket layout.
+    /// Register (or fetch) a histogram.
     ///
     /// # Panics
     ///
-    /// Panics on a metric-kind conflict or malformed `edges` (see
-    /// [`Histogram::new`]).
+    /// Panics on a metric-kind conflict (see [`Registry::counter`]).
     #[must_use]
-    pub fn histogram(
-        &self,
-        name: &str,
-        labels: &[(&str, &str)],
-        edges: Vec<f64>,
-        help: &str,
-    ) -> Histogram {
+    pub fn histogram(&self, name: &str, labels: &[(&str, &str)], help: &str) -> Histogram {
         let id = MetricId::new(name, labels);
         let mut map = self.lock();
         let entry = map.entry(id.clone()).or_insert_with(|| Registered {
-            metric: Metric::Histogram(Histogram::new(edges)),
+            metric: Metric::Histogram(Histogram::new()),
             help: help.to_string(),
         });
         match &entry.metric {
@@ -207,24 +198,9 @@ impl Registry {
                     help: registered.help.clone(),
                     value: g.value(),
                 }),
-                Metric::Histogram(h) => {
-                    let edges = h.edges().to_vec();
-                    let mut cumulative = Vec::with_capacity(edges.len() + 1);
-                    let mut running = 0u64;
-                    for count in h.bucket_counts() {
-                        running += count;
-                        cumulative.push(running);
-                    }
-                    snapshot.histograms.push(HistogramSnapshot {
-                        id: id.clone(),
-                        help: registered.help.clone(),
-                        count: h.count(),
-                        sum: h.sum(),
-                        edges,
-                        cumulative,
-                        percentiles: h.percentiles(),
-                    });
-                }
+                Metric::Histogram(h) => snapshot
+                    .histograms
+                    .push(h.snapshot(id.clone(), registered.help.clone())),
             }
         }
         snapshot
@@ -254,35 +230,94 @@ pub struct GaugeSnapshot {
 }
 
 /// Frozen state of one histogram.
+///
+/// Fields hold the recorded units (nanoseconds for spans). The accessor
+/// methods return *export units*: a metric whose name ends `_seconds`
+/// (lint rule S reserves the suffix for span-fed histograms) is scaled
+/// from nanoseconds to seconds, any other histogram is exported as
+/// recorded.
 #[derive(Debug, Clone)]
 pub struct HistogramSnapshot {
     /// Metric identity.
     pub id: MetricId,
     /// Help text (may be empty).
     pub help: String,
-    /// Total observations.
+    /// Total recorded values.
     pub count: u64,
-    /// Sum of observations.
-    pub sum: f64,
-    /// Finite bucket upper bounds (`+Inf` implicit as the last bucket).
-    pub edges: Vec<f64>,
-    /// Cumulative bucket counts, `edges.len() + 1` entries (Prometheus
-    /// `le` semantics; the last entry equals [`HistogramSnapshot::count`]).
-    pub cumulative: Vec<u64>,
-    /// Streaming p50/p95/p99 estimates (all `NaN` when `count == 0`;
-    /// exporters render empty percentiles as `null`, never `NaN`).
-    pub percentiles: PercentileSnapshot,
+    /// Saturating sum of recorded values.
+    pub sum: u64,
+    /// Largest recorded value (0 when empty).
+    pub max: u64,
+    /// Per-bucket counts (non-cumulative), [`BUCKETS`] entries; bucket
+    /// `i` ends at [`bucket_upper`]`(i)`.
+    pub buckets: [u64; BUCKETS],
 }
 
 impl HistogramSnapshot {
-    /// Mean observation, or 0 when empty.
+    /// A recorded value in export units.
+    #[must_use]
+    pub fn scaled(&self, raw: u64) -> f64 {
+        if self.id.name.ends_with("_seconds") {
+            raw as f64 / 1e9
+        } else {
+            raw as f64
+        }
+    }
+
+    /// The `q`-quantile (0 < q ≤ 1) in recorded units: the inclusive
+    /// upper edge of the bucket holding the rank-⌈q·count⌉ value, capped
+    /// at the exact max — so a rank in the overflow bucket reports the
+    /// max, and p50 ≤ p95 ≤ p99 ≤ max always holds. 0 when empty. The
+    /// one percentile rule of every export.
+    #[must_use]
+    pub fn quantile_raw(&self, q: f64) -> u64 {
+        if self.count == 0 {
+            return 0;
+        }
+        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
+        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
+        let mut seen = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            seen = seen.saturating_add(c);
+            if seen >= rank {
+                return bucket_upper(i).min(self.max);
+            }
+        }
+        self.max
+    }
+
+    /// The `q`-quantile in export units; `None` when empty.
+    #[must_use]
+    pub fn quantile(&self, q: f64) -> Option<f64> {
+        (self.count > 0).then(|| self.scaled(self.quantile_raw(q)))
+    }
+
+    /// Mean value in export units, or 0 when empty.
     #[must_use]
     pub fn mean(&self) -> f64 {
         if self.count == 0 {
             0.0
         } else {
-            self.sum / self.count as f64
+            self.scaled(self.sum) / self.count as f64
         }
+    }
+
+    /// The non-empty buckets as `(upper edge, cumulative count)` in
+    /// recorded units, always closed by the overflow bucket (`None`
+    /// edge, i.e. `+Inf`) whose cumulative count equals [`Self::count`].
+    #[must_use]
+    pub fn cumulative(&self) -> Vec<(Option<u64>, u64)> {
+        let mut out = Vec::new();
+        let mut running = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate() {
+            running = running.saturating_add(c);
+            if i == BUCKETS - 1 {
+                out.push((None, running));
+            } else if c > 0 {
+                out.push((Some(bucket_upper(i)), running));
+            }
+        }
+        out
     }
 }
 
@@ -369,20 +404,23 @@ mod tests {
         r.counter("z_last", &[], "").inc();
         r.counter("a_first", &[], "").add(3);
         r.gauge("depth", &[], "").set(2.0);
-        let h = r.histogram("lat", &[], vec![1.0, 2.0], "");
-        h.observe(0.5);
-        h.observe(1.5);
-        h.observe(9.0);
+        let h = r.histogram("lat", &[], "");
+        h.record(1);
+        h.record(3);
+        h.record(9);
         let snap = r.snapshot();
         assert_eq!(snap.counters[0].id.name, "a_first");
         assert_eq!(snap.counter_value("z_last", &[]), Some(1));
         assert_eq!(snap.gauge_value("depth", &[]), Some(2.0));
         let hs = snap.histogram("lat", &[]).unwrap();
-        assert_eq!(hs.cumulative, vec![1, 2, 3]);
+        assert_eq!(
+            hs.cumulative(),
+            vec![(Some(1), 1), (Some(3), 2), (Some(15), 3), (None, 3)]
+        );
         assert_eq!(hs.count, 3);
-        assert!((hs.mean() - (0.5 + 1.5 + 9.0) / 3.0).abs() < 1e-12);
-        // With fewer than five observations the P² estimator is exact.
-        assert!((hs.percentiles.p50 - 1.5).abs() < 1e-12);
+        // Not a `_seconds` name: exported as recorded.
+        assert!((hs.mean() - 13.0 / 3.0).abs() < 1e-12);
+        assert_eq!(hs.quantile(0.5), Some(3.0));
         assert_eq!(
             snap.counter_map(),
             BTreeMap::from([("a_first".to_string(), 3), ("z_last".to_string(), 1)])
@@ -391,16 +429,100 @@ mod tests {
 
     #[cfg(feature = "obs")]
     #[test]
+    fn clones_share_state_and_ids_separate() {
+        let r = Registry::new();
+        let a = r.histogram("share_seconds", &[], "");
+        let b = r.histogram("share_seconds", &[], "");
+        let other = r.histogram("share_seconds", &[("stage", "y")], "");
+        a.record(5);
+        assert_eq!(b.count(), 1);
+        assert_eq!(other.count(), 0);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn quantiles_walk_bucket_edges() {
+        let r = Registry::new();
+        let h = r.histogram("walk_seconds", &[], "");
+        for _ in 0..50 {
+            h.record(100); // bucket 7, upper edge 127
+        }
+        for _ in 0..49 {
+            h.record(1000); // bucket 10, upper edge 1023
+        }
+        h.record(1_000_000); // bucket 20, upper edge 1_048_575
+        let snap = r.snapshot();
+        let s = snap.histogram("walk_seconds", &[]).unwrap();
+        assert_eq!(s.count, 100);
+        assert_eq!(s.quantile_raw(0.50), 127);
+        assert_eq!(s.quantile_raw(0.95), 1023);
+        assert_eq!(s.quantile_raw(0.99), 1023);
+        // The top rank's bucket edge is capped at the exact max.
+        assert_eq!(s.quantile_raw(1.0), 1_000_000);
+        assert_eq!(s.max, 1_000_000);
+        // Exported in seconds.
+        assert_eq!(s.quantile(0.50), Some(127e-9));
+    }
+
+    #[test]
+    fn empty_histogram_is_all_zero() {
+        let r = Registry::new();
+        let _ = r.histogram("idle_seconds", &[], "");
+        let snap = r.snapshot();
+        let s = snap.histogram("idle_seconds", &[]).unwrap();
+        assert_eq!((s.count, s.sum, s.max), (0, 0, 0));
+        assert_eq!(s.quantile_raw(0.99), 0);
+        assert_eq!(s.quantile(0.5), None);
+        assert_eq!(s.mean(), 0.0);
+        assert_eq!(s.cumulative(), vec![(None, 0)]);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn overflow_bucket_reports_the_exact_max() {
+        let r = Registry::new();
+        let h = r.histogram("huge", &[], "");
+        h.record(1);
+        h.record(u64::MAX - 7);
+        let snap = r.snapshot();
+        let s = snap.histogram("huge", &[]).unwrap();
+        assert_eq!(s.buckets[BUCKETS - 1], 1);
+        // The rank walk lands in the overflow bucket, whose edge is
+        // u64::MAX; the exact max keeps the estimate finite and tight.
+        assert_eq!(s.quantile_raw(0.99), u64::MAX - 7);
+        assert_eq!(s.quantile_raw(0.5), 1);
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
     fn reset_zeroes_in_place() {
         let r = Registry::new();
         let c = r.counter("n", &[], "");
-        let h = r.histogram("h", &[], vec![1.0], "");
+        let h = r.histogram("h", &[], "");
         c.add(7);
-        h.observe(0.5);
+        h.record(5);
         r.reset();
         // The *same handles* read zero — registrations survive.
         assert_eq!(c.value(), 0);
         assert_eq!(h.count(), 0);
         assert_eq!(r.snapshot().counter_value("n", &[]), Some(0));
+    }
+
+    #[cfg(feature = "obs")]
+    #[test]
+    fn reset_zeroes_histograms_and_handles_survive() {
+        let r = Registry::new();
+        let a = r.histogram("reset_seconds", &[("stage", "x")], "");
+        a.record(42);
+        assert_eq!(a.count(), 1);
+        r.reset();
+        assert_eq!((a.count(), a.sum(), a.max()), (0, 0, 0));
+        assert!(a.bucket_counts().iter().all(|&c| c == 0));
+        a.record(7);
+        let b = r.histogram("reset_seconds", &[("stage", "x")], "");
+        assert_eq!(b.count(), 1, "handles must share state after reset");
+        let snap = r.snapshot();
+        let s = snap.histogram("reset_seconds", &[("stage", "x")]).unwrap();
+        assert_eq!((s.count, s.sum, s.max), (1, 7, 7));
     }
 }

@@ -2,7 +2,7 @@
 //! run identity (label + metadata), per-experiment wall time, a distilled
 //! **quality** section (per-gesture recall/precision, segmentation and
 //! distinguish counters, rejection rate), and the full metrics snapshot
-//! (per-stage latency histograms with p50/p95/p99, counters, gauges).
+//! (per-stage latency histograms with p50/p95/p99/max, counters, gauges).
 //! This is the payload behind `--metrics <path>` and the
 //! `BENCH_<label>.json` perf-trajectory artifacts that `repro diff`
 //! gates on.
@@ -65,14 +65,9 @@ impl RunReport {
     ///   "total_seconds": 4.05,
     ///   "quality": { "experiments": {...}, "segmentation": {...},
     ///                "distinguish": {...} },
-    ///   "latency_ns": [ {"name": "engine_push_ns", "p99_ns": ...}, ... ],
     ///   "metrics": { "counters": [...], "gauges": [...], "histograms": [...] }
     /// }
     /// ```
-    ///
-    /// The `latency_ns` member is the *global* nanosecond histogram table
-    /// ([`crate::latency::export_json`]) captured at render time — the
-    /// log2-bucketed push/stage latencies that live outside the registry.
     #[must_use]
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
@@ -100,8 +95,6 @@ impl RunReport {
         let _ = write!(out, "],\n\"total_seconds\": {},\n", json_number(total));
         out.push_str("\"quality\": ");
         out.push_str(&quality_json(&self.snapshot));
-        out.push_str(",\n\"latency_ns\": ");
-        out.push_str(&crate::latency::export_json());
         out.push_str(",\n");
         // Splice the snapshot object in as the "metrics" member.
         out.push_str("\"metrics\": ");
@@ -231,8 +224,8 @@ mod tests {
     fn report_renders_valid_json() {
         let registry = Registry::new();
         registry.counter("runs_total", &[], "").inc();
-        let h = registry.histogram("stage_seconds", &[("stage", "sbc")], vec![0.1, 1.0], "");
-        h.observe(0.02);
+        let h = registry.histogram("stage_seconds", &[("stage", "sbc")], "");
+        h.record(20_000_000);
         let mut report = RunReport::new("test", registry.snapshot());
         report.meta("scale", "quick");
         report.meta("threads", 4);
@@ -269,30 +262,6 @@ mod tests {
                 .unwrap()
                 .as_u64(),
             Some(0)
-        );
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn report_includes_global_latency_table() {
-        crate::latency!("report_latency_test_ns").record(42);
-        let report = RunReport::new("lat", Registry::new().snapshot());
-        let value: serde::Value = serde_json::from_str(&report.to_json()).unwrap();
-        let entries = value
-            .as_object()
-            .unwrap()
-            .get("latency_ns")
-            .unwrap()
-            .as_array()
-            .unwrap();
-        assert!(
-            entries.iter().any(|e| {
-                e.as_object()
-                    .and_then(|o| o.get("name"))
-                    .and_then(serde::Value::as_str)
-                    == Some("report_latency_test_ns")
-            }),
-            "latency_ns lists the recorded histogram"
         );
     }
 

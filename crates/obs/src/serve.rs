@@ -6,8 +6,7 @@
 //! thread and answers four read-only endpoints:
 //!
 //! - `GET /metrics` — the global registry in Prometheus text format
-//!   (what [`crate::Snapshot::to_prometheus`] exports), followed by the
-//!   nanosecond latency histograms ([`crate::latency::export_prometheus`]);
+//!   (what [`crate::Snapshot::to_prometheus`] exports);
 //! - `GET /health` — a JSON rollup: recording/profiling switches,
 //!   process allocation pressure, every `fleet_*`/`health_state`/
 //!   `engine_window_*`/`budget_*`/`burn_*` gauge, the global event
@@ -230,10 +229,7 @@ fn route(raw_path: &str) -> (&'static str, &'static str, String) {
     match path {
         "/metrics" => {
             crate::counter!("serve_requests_total", endpoint = "metrics").inc();
-            // The registry families plus the nanosecond latency
-            // histograms, one exposition.
-            let mut body = crate::global().snapshot().to_prometheus();
-            body.push_str(&crate::latency::export_prometheus());
+            let body = crate::global().snapshot().to_prometheus();
             ("200 OK", "text/plain; version=0.0.4; charset=utf-8", body)
         }
         "/health" => {
@@ -547,12 +543,13 @@ mod tests {
     #[test]
     fn metrics_endpoint_includes_latency_histograms() {
         let server = ScrapeServer::start("127.0.0.1:0").expect("bind loopback");
-        crate::latency!("serve_latency_test_ns").record(7);
+        crate::histogram!("serve_latency_test_seconds").record(7);
         let metrics = get(server.addr(), "/metrics");
         assert!(
-            metrics.contains("serve_latency_test_ns_bucket"),
+            metrics.contains("serve_latency_test_seconds_bucket{le=\"0.000000007\"} 1"),
             "{metrics}"
         );
+        assert!(!metrics.contains("_ns_bucket"), "{metrics}");
         server.stop();
     }
 

@@ -1,12 +1,12 @@
 //! RAII spans: monotonic wall-clock timing over [`std::time::Instant`],
-//! recorded into a histogram when the span drops.
+//! recorded once, in nanoseconds, into a histogram when the span drops.
 
-use crate::latency::LatencyHist;
 use crate::metrics::Histogram;
 use std::time::Instant;
 
 /// A timed scope. Created by [`crate::span!`] or [`crate::span_with`];
-/// when dropped, records the elapsed seconds into its histogram and —
+/// when dropped, records the elapsed nanoseconds into its histogram (the
+/// `_seconds` name exports them in seconds) and —
 /// when [`crate::tracing`] is on or the span was marked [`Span::traced`]
 /// — prints `[obs] <name>: <elapsed>` to stderr.
 ///
@@ -29,10 +29,6 @@ pub struct Span {
     /// the matching exit runs on drop only when it did, keeping the
     /// per-thread frame stack balanced across enable/disable toggles.
     profiled: bool,
-    /// Companion nanosecond histogram ([`Span::with_latency`]): the same
-    /// drop-time duration that feeds the seconds histogram is recorded
-    /// here at full resolution, from one clock read.
-    latency: Option<LatencyHist>,
 }
 
 impl Span {
@@ -46,7 +42,6 @@ impl Span {
             trace: false,
             timeline: false,
             profiled: false,
-            latency: None,
         }
     }
 
@@ -65,7 +60,6 @@ impl Span {
             trace: false,
             timeline,
             profiled,
-            latency: None,
         }
     }
 
@@ -84,7 +78,6 @@ impl Span {
             trace: false,
             timeline,
             profiled,
-            latency: None,
         }
     }
 
@@ -94,22 +87,6 @@ impl Span {
     /// feeds the JSON report.
     pub fn traced(mut self) -> Span {
         self.trace = true;
-        self
-    }
-
-    /// Attach a nanosecond histogram: on drop the span's duration is also
-    /// recorded into `hist` via [`LatencyHist::record`], truncated from
-    /// the same single clock read that feeds the seconds histogram.
-    /// Disabled spans ignore the attachment (no clock was read).
-    ///
-    /// ```
-    /// let _span = airfinger_obs::span!("demo_push_seconds")
-    ///     .with_latency(airfinger_obs::latency!("demo_push_ns"));
-    /// ```
-    pub fn with_latency(mut self, hist: LatencyHist) -> Span {
-        if self.start.is_some() {
-            self.latency = Some(hist);
-        }
         self
     }
 
@@ -128,21 +105,22 @@ impl Drop for Span {
     fn drop(&mut self) {
         let Some(start) = self.start else { return };
         let duration = start.elapsed();
-        let elapsed = duration.as_secs_f64();
+        let ns = u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX);
         if let Some(histogram) = &self.histogram {
-            histogram.observe(elapsed);
-        }
-        if let Some(latency) = &self.latency {
-            latency.record(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
+            histogram.record(ns);
         }
         if self.timeline {
             crate::trace::end(self.display_name());
         }
         if self.trace || crate::tracing() {
-            eprintln!("[obs] {}: {}", self.display_name(), format_seconds(elapsed));
+            eprintln!(
+                "[obs] {}: {}",
+                self.display_name(),
+                format_seconds(duration.as_secs_f64())
+            );
         }
         if self.profiled {
-            crate::profile::exit(u64::try_from(duration.as_nanos()).unwrap_or(u64::MAX));
+            crate::profile::exit(ns);
         }
     }
 }
@@ -166,19 +144,38 @@ mod tests {
     #[cfg(feature = "obs")]
     #[test]
     fn span_records_on_drop() {
-        let h = Histogram::new(vec![10.0]);
+        let h = Histogram::new();
         {
             let span = Span::from_histogram(h.clone(), "test_span");
             assert!(span.elapsed_s() >= 0.0);
         }
         assert_eq!(h.count(), 1);
-        assert_eq!(h.bucket_counts(), vec![1, 0]);
+        assert!(h.max() > 0, "a live span takes nonzero nanoseconds");
+        assert_eq!(h.sum(), h.max());
+    }
+
+    /// A labelled span from the global registry records its nanoseconds
+    /// into the registered `_seconds` family, which exports them in
+    /// seconds.
+    #[cfg(feature = "obs")]
+    #[test]
+    fn registered_span_records_nanoseconds_on_drop() {
+        let labels = [("stage", "ns")];
+        {
+            let _span = crate::span_with("span_ns_test_seconds", &labels);
+        }
+        let snap = crate::global().snapshot();
+        let s = snap.histogram("span_ns_test_seconds", &labels).unwrap();
+        assert_eq!(s.count, 1);
+        assert!(s.max > 0, "a live span takes nonzero nanoseconds");
+        assert_eq!(s.sum, s.max);
+        assert_eq!(s.quantile(1.0), Some(s.max as f64 / 1e9));
     }
 
     #[cfg(feature = "obs")]
     #[test]
     fn traced_span_still_records() {
-        let h = Histogram::new(vec![10.0]);
+        let h = Histogram::new();
         {
             let _span = Span::from_histogram_named(h.clone(), "dyn".to_string()).traced();
         }
@@ -190,26 +187,6 @@ mod tests {
         let span = Span::disabled();
         assert_eq!(span.elapsed_s(), 0.0);
         drop(span); // must not record or print
-    }
-
-    #[cfg(feature = "obs")]
-    #[test]
-    fn with_latency_records_nanoseconds_on_drop() {
-        let h = Histogram::new(vec![10.0]);
-        let ns = LatencyHist::new();
-        {
-            let _span = Span::from_histogram(h.clone(), "latency_span").with_latency(ns.clone());
-        }
-        assert_eq!(h.count(), 1);
-        assert_eq!(ns.count(), 1);
-        assert!(ns.max_ns() > 0, "a live span takes nonzero nanoseconds");
-    }
-
-    #[test]
-    fn disabled_span_ignores_latency_attachment() {
-        let ns = LatencyHist::new();
-        drop(Span::disabled().with_latency(ns.clone()));
-        assert_eq!(ns.count(), 0);
     }
 
     #[test]

@@ -9,7 +9,7 @@ fn disabled_registry_short_circuits() {
     let histogram = airfinger_obs::histogram("switch_seconds");
 
     counter.inc();
-    histogram.observe(0.5);
+    histogram.record(500);
     let live = airfinger_obs::recording();
     assert_eq!(live, cfg!(feature = "obs"));
     let baseline = counter.value();
@@ -18,7 +18,7 @@ fn disabled_registry_short_circuits() {
     set_recording(false);
     assert!(!airfinger_obs::recording());
     counter.add(10);
-    histogram.observe(0.5);
+    histogram.record(500);
     {
         let span = airfinger_obs::span_with("switch_span_seconds", &[("id", "off")]);
         assert_eq!(
@@ -39,7 +39,7 @@ fn disabled_registry_short_circuits() {
 
     set_recording(true);
     counter.inc();
-    histogram.observe(0.25);
+    histogram.record(250);
     if cfg!(feature = "obs") {
         assert_eq!(counter.value(), baseline + 1);
         assert_eq!(histogram.count(), 2);

@@ -59,12 +59,8 @@ fn observe_worker_jobs(op: &'static str, jobs: usize) {
     if !airfinger_obs::recording() {
         return;
     }
-    const EDGES: [f64; 11] = [
-        1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0,
-    ];
     // lint: metric-suffix — unitless jobs-per-worker distribution, not a latency
-    airfinger_obs::histogram_with("parallel_worker_jobs", &[("op", op)], &EDGES)
-        .observe(jobs as f64);
+    airfinger_obs::histogram_with("parallel_worker_jobs", &[("op", op)]).record(jobs as u64);
 }
 
 /// Map `f` over `items` using up to `threads` scoped worker threads,

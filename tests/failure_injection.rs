@@ -154,3 +154,62 @@ fn rejected_windows_never_classify() {
         "wave accepted {accepted} times vs rejected {rejected}"
     );
 }
+
+/// NaN and ±inf readings are rejected at `push` before they touch any
+/// engine state: a clean stream with non-finite samples inserted between
+/// its samples yields exactly the clean stream's recognitions, and every
+/// inserted sample is counted under
+/// `engine_samples_rejected_total{reason="non_finite"}`.
+#[test]
+fn non_finite_samples_are_rejected_without_changing_recognitions() {
+    use airfinger_core::engine::StreamingEngine;
+    use airfinger_core::error::AirFingerError;
+    use airfinger_synth::session::{generate_session, SessionSpec};
+
+    let (af, _) = trained_pipeline(67);
+    let trace = generate_session(&SessionSpec {
+        samples: 2_500,
+        seed: 67,
+        ..Default::default()
+    });
+    let sample_at = |i: usize| [0, 1, 2].map(|k| trace.channel(k)[i]);
+    let rejected = || {
+        airfinger_obs::global()
+            .snapshot()
+            .counter_value("engine_samples_rejected_total", &[("reason", "non_finite")])
+            .unwrap_or(0)
+    };
+
+    let mut clean = StreamingEngine::new(af.clone(), 3).expect("engine builds");
+    let mut expected = Vec::new();
+    for i in 0..trace.len() {
+        if let Some(event) = clean.push(&sample_at(i)).expect("clean push") {
+            expected.push(event);
+        }
+    }
+    assert!(!expected.is_empty(), "the clean session holds gestures");
+
+    let mut engine = StreamingEngine::new(af, 3).expect("engine builds");
+    let before = rejected();
+    let mut inserted = 0u64;
+    let mut got = Vec::new();
+    for i in 0..trace.len() {
+        if i % 7 == 3 {
+            // Rotate the bad value and the channel it lands on.
+            let mut bad = sample_at(i);
+            bad[i % 3] = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY][(i / 7) % 3];
+            assert!(matches!(
+                engine.push(&bad),
+                Err(AirFingerError::InvalidTrainingData(_))
+            ));
+            inserted += 1;
+        }
+        if let Some(event) = engine.push(&sample_at(i)).expect("clean push") {
+            got.push(event);
+        }
+    }
+    assert_eq!(got, expected, "non-finite samples changed the recognitions");
+    if airfinger_obs::recording() {
+        assert_eq!(rejected() - before, inserted);
+    }
+}

@@ -43,7 +43,6 @@ fn config(n_threads: usize) -> AirFingerConfig {
 /// the registry's counters plus the monitor's transition log.
 fn counters_at(n_threads: usize, corpus: &Corpus) -> (BTreeMap<String, u64>, Vec<String>) {
     airfinger_obs::global().reset();
-    airfinger_obs::latency::reset();
     let mut af = AirFinger::new(config(n_threads));
     af.train_on_corpus(corpus, None).expect("training succeeds");
     for s in corpus.samples() {
@@ -166,9 +165,9 @@ fn export_bytes_are_identical_across_insertion_orders() {
                 "b_total" => r.counter("b_total", &[], "b").add(2),
                 "depth" => r.gauge("depth", &[], "queue depth").set(2.25),
                 "lat_seconds" => {
-                    let h = r.histogram("lat_seconds", &[], vec![0.1, 1.0], "latency");
-                    h.observe(0.05);
-                    h.observe(0.75);
+                    let h = r.histogram("lat_seconds", &[], "latency");
+                    h.record(50_000_000);
+                    h.record(750_000_000);
                 }
                 other => panic!("unknown fixture metric {other}"),
             }
@@ -201,7 +200,6 @@ fn export_bytes_are_identical_across_insertion_orders() {
 /// nanosecond fields are scheduling observations and excluded).
 fn profile_paths_at(n_threads: usize, corpus: &Corpus) -> BTreeMap<String, (u64, u64, u64)> {
     airfinger_obs::global().reset();
-    airfinger_obs::latency::reset();
     airfinger_obs::profile::reset();
     let mut af = AirFinger::new(config(n_threads));
     af.train_on_corpus(corpus, None).expect("training succeeds");
@@ -246,15 +244,21 @@ fn profile_breakdown_is_identical_across_thread_counts() {
     }
 }
 
+/// The histogram families recorded once per push and once per pipeline
+/// stage: their record counts are pure functions of the input stream.
+/// (Worker-busy, job-count and forest spans count per dispatch, so they
+/// depend on the thread count and stay out.)
+const PUSH_AND_STAGE: [&str; 2] = ["engine_push_seconds", "pipeline_stage_seconds"];
+
 /// Run the `perf` bench experiment with `n_threads` training workers;
 /// return its deterministic-class metrics (DESIGN.md §9: everything
-/// *not* suffix-marked as timing) plus every nanosecond-latency
-/// histogram's record count. Timing-class gauges and histogram sums are
-/// wall-clock observations and are deliberately excluded.
+/// *not* suffix-marked as timing) plus the record count of every push
+/// and stage histogram in the registry. Timing-class gauges and
+/// histogram sums are wall-clock observations and are deliberately
+/// excluded.
 fn perf_deterministic_at(n_threads: usize) -> (BTreeMap<String, String>, Vec<(String, u64)>) {
     use airfinger_bench::diff::{metric_class, MetricClass};
     airfinger_obs::global().reset();
-    airfinger_obs::latency::reset();
     let mut ctx =
         airfinger_bench::context::Context::new(airfinger_bench::context::Scale::Quick, 99);
     ctx.config.n_threads = n_threads;
@@ -274,15 +278,17 @@ fn perf_deterministic_at(n_threads: usize) -> (BTreeMap<String, String>, Vec<(St
             deterministic.insert(identity, format!("{:?}", g.value));
         }
     }
-    let latency_counts = airfinger_obs::latency::snapshot_all()
-        .into_iter()
-        .map(|s| (s.id.to_string(), s.count))
+    let latency_counts = snapshot
+        .histograms
+        .iter()
+        .filter(|h| PUSH_AND_STAGE.contains(&h.id.name.as_str()))
+        .map(|h| (h.id.to_string(), h.count))
         .collect();
     (deterministic, latency_counts)
 }
 
 /// The perf experiment's deterministic metric class (work counters,
-/// allocs-per-push) and the latency histograms' record counts are pure
+/// allocs-per-push) and the push/stage histograms' record counts are pure
 /// functions of `(scale, seed)` — byte-identical no matter how many
 /// worker threads trained the pipeline. This is the invariant that lets
 /// `repro diff` gate them exactly across machines and `--threads`
@@ -305,13 +311,13 @@ fn perf_deterministic_metrics_are_identical_across_thread_counts() {
         assert!(
             base_latency
                 .iter()
-                .any(|(id, count)| id == "engine_push_ns" && *count > 0),
+                .any(|(id, count)| id == "engine_push_seconds" && *count > 0),
             "expected push-latency records in {base_latency:?}"
         );
         assert!(
             base_latency
                 .iter()
-                .any(|(id, _)| id.starts_with("pipeline_stage_ns")),
+                .any(|(id, _)| id.starts_with("pipeline_stage_seconds")),
             "expected stage-latency histograms in {base_latency:?}"
         );
         // Timing-class names must have been classified out: a p99 gauge
