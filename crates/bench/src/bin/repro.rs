@@ -29,7 +29,7 @@ use airfinger_bench::{run_experiment, EXPERIMENT_IDS};
 use airfinger_obs::report::RunReport;
 use airfinger_parallel::{effective_threads, par_run};
 
-/// Counting allocator wrapper so the `profile` experiment (and any
+/// Counting allocator wrapper so the `perf` experiment (and any
 /// future zero-alloc ratchet) can attribute allocation events to the
 /// hot path. Pure pass-through to the system allocator plus two atomic
 /// adds per event; negligible against real experiment cost.

@@ -24,7 +24,6 @@ pub mod importance;
 pub mod interference;
 pub mod outdoor;
 pub mod perf;
-pub mod profile;
 pub mod selection;
 pub mod soak;
 pub mod table2;

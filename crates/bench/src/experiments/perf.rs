@@ -20,6 +20,12 @@
 //!   histogram quantiles), and per-stage mean nanoseconds per sample:
 //!   wall-clock observations that the gate holds to a relative
 //!   tolerance (`--perf-tolerance`, default 10%).
+//!
+//! The unmeasured warm-up pass runs under the span profiler, scoped to
+//! its own root span, and reports exact per-stage frame counts (how many
+//! windows reached each per-window stage, and one push frame per sample)
+//! — deterministic, and read as a delta so a second run in the same
+//! process reports the same values.
 
 use crate::context::Context;
 use crate::error::BenchError;
@@ -27,8 +33,8 @@ use crate::report::Report;
 use airfinger_core::config::AirFingerConfig;
 use airfinger_core::engine::StreamingEngine;
 use airfinger_core::pipeline::AirFinger;
-use airfinger_obs::alloc;
 use airfinger_obs::registry::MetricId;
+use airfinger_obs::{alloc, profile};
 use airfinger_obs::{Histogram, HistogramSnapshot};
 use airfinger_synth::dataset::{generate_corpus, generate_nongesture_corpus, CorpusSpec};
 use airfinger_synth::session::{generate_session, SessionSpec};
@@ -39,6 +45,10 @@ use std::time::Instant;
 /// engine computes SBC/threshold/segmentation incrementally without
 /// per-sample spans, so only the per-window stages appear here.
 const STAGES: [&str; 5] = ["filter", "features", "rf_predict", "zebra", "distinguish"];
+
+/// Root span of the profiled warm-up pass; the frame counts come from
+/// the profiler subtree under it.
+const PROFILE_ROOT: &str = "profile_stream_seconds";
 
 /// Median of an unsorted slice (takes a copy; slices here are length K).
 fn median(values: &[f64]) -> f64 {
@@ -62,7 +72,9 @@ fn local_snapshot(hist: &Histogram) -> HistogramSnapshot {
 ///
 /// Propagates training and engine failures; fails when the deterministic
 /// work counters violate their structural contract (push-count mismatch
-/// or a session that classifies no windows).
+/// or a session that classifies no windows), or, while recording is on,
+/// when the profiled warm-up lacks a push frame per sample or feature
+/// and forest frames.
 pub fn run(ctx: &Context) -> Result<Report, BenchError> {
     let mut report = Report::new(
         "perf",
@@ -110,14 +122,26 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
     // exactly once, so the measured repeats observe a steady-state
     // allocator regardless of which experiments already ran on this
     // worker thread — that is what keeps allocs-per-push exact across
-    // `--threads 1` vs `--threads N` runs.
+    // `--threads 1` vs `--threads N` runs. The profiler is on for this
+    // pass only; its frame counts are read as a delta under the pass's
+    // root span, so spans profiled concurrently elsewhere and earlier
+    // runs in the same process cannot leak into them.
+    let profiling_was_enabled = profile::enabled();
+    profile::set_enabled(true);
+    let profile_before = profile::snapshot().under(PROFILE_ROOT);
     let mut sample = vec![0.0; channels];
+    let span = airfinger_obs::span!("profile_stream_seconds");
     for i in 0..trace.len() {
         for (k, v) in sample.iter_mut().enumerate() {
             *v = trace.channel(k)[i];
         }
         let _ = engine.push(&sample)?;
     }
+    drop(span);
+    profile::set_enabled(profiling_was_enabled);
+    let frames = profile::snapshot()
+        .under(PROFILE_ROOT)
+        .diff(&profile_before);
 
     // Per-stage attribution reads the nanosecond sums of the *global*
     // `pipeline_stage_seconds` histograms by delta across the whole
@@ -232,19 +256,37 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
     } else {
         report.line("allocations: counting allocator not installed (0 reported)".to_string());
     }
+    let push_frames = frames
+        .path(&format!("{PROFILE_ROOT};engine_push_seconds"))
+        .map_or(0, |d| d.count);
+    report.line(format!(
+        "profiled warm-up: {push_frames} push frames; per stage, frames in the warm-up \
+         and mean cost over the measured repeats:"
+    ));
+    let mut stage_frames = [0i64; STAGES.len()];
     for (i, stage) in STAGES.iter().enumerate() {
+        let leaf = format!("pipeline_stage_seconds{{stage={stage}}}");
+        stage_frames[i] = frames
+            .paths
+            .iter()
+            .filter(|(path, _)| path.rsplit(';').next() == Some(leaf.as_str()))
+            .map(|(_, d)| d.count)
+            .sum();
         let d_ns = stage_sums_after[i].saturating_sub(stage_sums_before[i]);
         let mean_ns = d_ns as f64 / pushes.max(1) as f64;
         airfinger_obs::gauge_with("perf_stage_mean_ns", &[("stage", stage)]).set(mean_ns);
         report.line(format!(
-            "  stage {stage:<12} {mean_ns:>10.1} ns/sample amortized"
+            "  stage {stage:<12} {:>6} frames {mean_ns:>10.1} ns/sample amortized",
+            stage_frames[i]
         ));
+        report.metric(&format!("stage_{stage}_frames"), stage_frames[i] as f64);
         report.metric(&format!("stage_{stage}_mean_ns"), mean_ns);
     }
 
     report.metric("samples", samples as f64);
     report.metric("repeats", repeats as f64);
     report.metric("pushes", pushes as f64);
+    report.metric("push_frames", push_frames as f64);
     report.metric("recognitions", recognitions as f64);
     report.metric("rejections", rejections as f64);
     report.metric("allocs_per_push", allocs_per_push);

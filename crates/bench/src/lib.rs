@@ -24,7 +24,7 @@ use report::Report;
 pub use error::BenchError;
 
 /// Every experiment id, in paper order.
-pub const EXPERIMENT_IDS: [&str; 27] = [
+pub const EXPERIMENT_IDS: [&str; 26] = [
     "fig3",
     "fig5",
     "fig7",
@@ -50,7 +50,6 @@ pub const EXPERIMENT_IDS: [&str; 27] = [
     "soak",
     "fleet",
     "events",
-    "profile",
     "perf",
 ];
 
@@ -87,7 +86,6 @@ pub fn run_experiment(id: &str, ctx: &Context) -> Result<Report, BenchError> {
         "soak" => experiments::soak::run(ctx),
         "fleet" => experiments::fleet::run(ctx),
         "events" => experiments::events::run(ctx),
-        "profile" => experiments::profile::run(ctx),
         "perf" => experiments::perf::run(ctx),
         _ => Err(BenchError::UnknownExperiment(id.to_string())),
     }

@@ -250,19 +250,34 @@ fn profile_breakdown_is_identical_across_thread_counts() {
 /// depend on the thread count and stay out.)
 const PUSH_AND_STAGE: [&str; 2] = ["engine_push_seconds", "pipeline_stage_seconds"];
 
+/// The deterministic `perf` outputs of one run: registry metrics, push
+/// and stage histogram record counts, and report metrics.
+type PerfDeterministic = (
+    BTreeMap<String, String>,
+    Vec<(String, u64)>,
+    BTreeMap<String, String>,
+);
+
 /// Run the `perf` bench experiment with `n_threads` training workers;
-/// return its deterministic-class metrics (DESIGN.md §9: everything
-/// *not* suffix-marked as timing) plus the record count of every push
-/// and stage histogram in the registry. Timing-class gauges and
-/// histogram sums are wall-clock observations and are deliberately
-/// excluded.
-fn perf_deterministic_at(n_threads: usize) -> (BTreeMap<String, String>, Vec<(String, u64)>) {
+/// return its deterministic-class registry metrics (DESIGN.md §9:
+/// everything *not* suffix-marked as timing), the record count of every
+/// push and stage histogram in the registry, and the deterministic-class
+/// metrics of its report (the profiled warm-up's frame counts among
+/// them). Timing-class gauges, report metrics and histogram sums are
+/// wall-clock observations and are deliberately excluded.
+fn perf_deterministic_at(n_threads: usize) -> PerfDeterministic {
     use airfinger_bench::diff::{metric_class, MetricClass};
     airfinger_obs::global().reset();
     let mut ctx =
         airfinger_bench::context::Context::new(airfinger_bench::context::Scale::Quick, 99);
     ctx.config.n_threads = n_threads;
-    airfinger_bench::run_experiment("perf", &ctx).expect("perf experiment succeeds");
+    let report = airfinger_bench::run_experiment("perf", &ctx).expect("perf experiment succeeds");
+    let report_metrics = report
+        .metrics
+        .iter()
+        .filter(|(name, _)| metric_class(name) == MetricClass::Deterministic)
+        .map(|(name, value)| (name.clone(), format!("{value:?}")))
+        .collect();
     let snapshot = airfinger_obs::global().snapshot();
     let mut deterministic = BTreeMap::new();
     for c in &snapshot.counters {
@@ -284,20 +299,36 @@ fn perf_deterministic_at(n_threads: usize) -> (BTreeMap<String, String>, Vec<(St
         .filter(|h| PUSH_AND_STAGE.contains(&h.id.name.as_str()))
         .map(|h| (h.id.to_string(), h.count))
         .collect();
-    (deterministic, latency_counts)
+    (deterministic, latency_counts, report_metrics)
 }
 
 /// The perf experiment's deterministic metric class (work counters,
-/// allocs-per-push) and the push/stage histograms' record counts are pure
-/// functions of `(scale, seed)` — byte-identical no matter how many
-/// worker threads trained the pipeline. This is the invariant that lets
-/// `repro diff` gate them exactly across machines and `--threads`
-/// settings.
+/// allocs-per-push, the profiled warm-up's frame counts) and the
+/// push/stage histograms' record counts are pure functions of
+/// `(scale, seed)` — byte-identical no matter how many worker threads
+/// trained the pipeline. This is the invariant that lets `repro diff`
+/// gate them exactly across machines and `--threads` settings. The runs
+/// share one process, so equal frame counts also prove they are read as
+/// a delta rather than from the accumulated profiler table.
 #[test]
 fn perf_deterministic_metrics_are_identical_across_thread_counts() {
     let _guard = registry_guard();
-    let (baseline, base_latency) = perf_deterministic_at(1);
+    let (baseline, base_latency, base_report) = perf_deterministic_at(1);
     if airfinger_obs::recording() {
+        for stage in ["filter", "features", "rf_predict", "zebra", "distinguish"] {
+            let key = format!("stage_{stage}_frames");
+            assert!(
+                base_report.contains_key(&key),
+                "expected {key} in {base_report:?}"
+            );
+        }
+        let features: f64 = base_report["stage_features_frames"].parse().unwrap();
+        assert!(features > 0.0, "features never ran in the profiled warm-up");
+        assert_eq!(
+            base_report.get("push_frames"),
+            base_report.get("samples"),
+            "expected one push frame per warm-up sample in {base_report:?}"
+        );
         for key in [
             "perf_pushes_total",
             "perf_recognitions_total",
@@ -331,7 +362,7 @@ fn perf_deterministic_metrics_are_identical_across_thread_counts() {
         );
     }
     for threads in [4, 8] {
-        let (got, got_latency) = perf_deterministic_at(threads);
+        let (got, got_latency, got_report) = perf_deterministic_at(threads);
         assert_eq!(
             got, baseline,
             "deterministic perf metrics diverged at {threads} threads"
@@ -339,6 +370,10 @@ fn perf_deterministic_metrics_are_identical_across_thread_counts() {
         assert_eq!(
             got_latency, base_latency,
             "latency record counts diverged at {threads} threads"
+        );
+        assert_eq!(
+            got_report, base_report,
+            "deterministic perf report metrics diverged at {threads} threads"
         );
     }
 }
