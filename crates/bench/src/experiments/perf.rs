@@ -315,5 +315,20 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
             push_hist.count()
         )));
     }
+    // The profiled warm-up must hold one push frame per sample, and the
+    // windows it classified must have reached the feature and forest
+    // stages; otherwise the frame counts describe no real stream.
+    if recording && push_frames != samples as i64 {
+        return Err(BenchError::Contract(format!(
+            "expected {samples} push frames under `{PROFILE_ROOT}`, got {push_frames}"
+        )));
+    }
+    for (stage, frames) in STAGES.iter().zip(stage_frames) {
+        if recording && matches!(*stage, "features" | "rf_predict") && frames <= 0 {
+            return Err(BenchError::Contract(format!(
+                "stage `{stage}` has no frames in the profiled warm-up"
+            )));
+        }
+    }
     Ok(report)
 }
