@@ -7,7 +7,8 @@ use crate::context::Context;
 use crate::error::BenchError;
 use crate::experiments::{merge_folds, pct};
 use crate::report::Report;
-use airfinger_core::train::binary_feature_set;
+use airfinger_core::train::feature_set;
+use airfinger_features::FeatureExtractor;
 use airfinger_ml::classifier::Classifier;
 use airfinger_ml::forest::{RandomForest, RandomForestConfig};
 use airfinger_ml::metrics::ConfusionMatrix;
@@ -39,7 +40,14 @@ pub fn run(ctx: &Context) -> Result<Report, BenchError> {
         ..gesture_spec.clone()
     };
     let corpus = generate_corpus(&gesture_spec).merged(generate_nongesture_corpus(&non_spec));
-    let features = binary_feature_set(&corpus, &ctx.config);
+    // The filter's 9-kind columns, extracted directly: the same values the
+    // pipeline projects out of its Table-I rows.
+    let features = feature_set(
+        &corpus,
+        &ctx.config,
+        &FeatureExtractor::nongesture9(),
+        |s| Some(usize::from(s.label.is_gesture())),
+    );
     let folds = stratified_k_fold(&features.y, 3, ctx.seed + 14);
     let merged = merge_folds(
         folds

@@ -12,6 +12,7 @@ use crate::config::AirFingerConfig;
 use crate::detect::prepare_features;
 use crate::error::AirFingerError;
 use crate::processing::{DataProcessor, GestureWindow};
+use crate::train::{feature_set, LabeledFeatures};
 use airfinger_features::FeatureExtractor;
 use airfinger_ml::classifier::Classifier;
 use airfinger_ml::forest::{RandomForest, RandomForestConfig};
@@ -110,15 +111,11 @@ impl CustomRecognizer {
             ));
         }
         let processor = DataProcessor::new(self.config);
-        let mut x = Vec::new();
-        let mut y = Vec::new();
-        for s in builtin.samples() {
-            let Some(g) = s.label.gesture() else { continue };
-            let w = processor.primary_window(&s.trace);
-            x.push(prepare_features(&self.extractor, &w));
-            y.push(g.index());
-        }
-        for (k, (name, traces)) in custom.iter().enumerate() {
+        let LabeledFeatures { mut x, mut y, .. } =
+            feature_set(builtin, &self.config, &self.extractor, |s| {
+                s.label.gesture().map(|g| g.index())
+            });
+        for (k, (_, traces)) in custom.iter().enumerate() {
             if traces.is_empty() {
                 return Err(AirFingerError::InvalidTrainingData(
                     "custom gesture registered with no examples",
@@ -129,7 +126,6 @@ impl CustomRecognizer {
                 x.push(prepare_features(&self.extractor, &w));
                 y.push(Gesture::ALL.len() + k);
             }
-            let _ = name;
         }
         self.forest.fit(&x, &y)?;
         self.custom_names = custom.iter().map(|(n, _)| n.clone()).collect();

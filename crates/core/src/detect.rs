@@ -12,10 +12,9 @@
 use crate::config::AirFingerConfig;
 use crate::error::AirFingerError;
 use crate::processing::GestureWindow;
-use airfinger_features::FeatureExtractor;
+use airfinger_features::{FeatureExtractor, FeatureKind};
 use airfinger_ml::classifier::Classifier;
 use airfinger_ml::forest::{RandomForest, RandomForestConfig};
-use airfinger_synth::gesture::Gesture;
 use serde::{Deserialize, Serialize};
 
 /// Build the recognition feature vector of a window.
@@ -30,35 +29,90 @@ use serde::{Deserialize, Serialize};
 /// pattern encodes where over the board the gesture happened).
 #[must_use]
 pub fn prepare_features(extractor: &FeatureExtractor, window: &GestureWindow) -> Vec<f64> {
-    let global_peak = window
-        .delta
-        .iter()
-        .flat_map(|c| c.iter())
-        .fold(0.0f64, |m, &v| m.max(v))
-        .max(f64::MIN_POSITIVE);
-    let normalized: Vec<Vec<f64>> = window
-        .delta
-        .iter()
-        .map(|c| c.iter().map(|v| v / global_peak).collect())
-        .collect();
-    let mut out = extractor.extract_multi(&normalized);
-    // ΔRSS² is non-negative by construction, but windows built by callers
-    // may carry arbitrary data: clamp energies at zero before forming
-    // shares so hostile inputs cannot produce non-finite features.
-    let energies: Vec<f64> = window
-        .delta
-        .iter()
-        .map(|c| c.iter().map(|v| v.max(0.0)).sum::<f64>())
-        .collect();
-    let total: f64 = energies.iter().sum::<f64>().max(f64::MIN_POSITIVE);
-    out.push(window.duration_s());
-    out.push(total.ln());
-    for e in &energies {
-        out.push(e / total);
+    WindowFeatures::new(window).row(extractor)
+}
+
+/// The feature columns of one window, shared by every row built from it:
+/// each [`FeatureKind`] runs once per channel, for whichever row first
+/// needs it. The filter's nine kinds are a subset of Table I, so (§IV-F)
+/// they "can be reused downstream without extra consumption burden".
+#[derive(Debug)]
+pub struct WindowFeatures<'w> {
+    window: &'w GestureWindow,
+    /// Each channel's `ΔRSS²` over the window's global peak.
+    normalized: Vec<Vec<f64>>,
+    /// Each computed kind with the start of its values in `columns`
+    /// (one run of [`FeatureKind::arity`] values per channel).
+    computed: Vec<(FeatureKind, usize)>,
+    columns: Vec<f64>,
+}
+
+impl<'w> WindowFeatures<'w> {
+    /// Normalize the channels of `window`; no kind is computed yet.
+    #[must_use]
+    pub fn new(window: &'w GestureWindow) -> Self {
+        let global_peak = window
+            .delta
+            .iter()
+            .flat_map(|c| c.iter())
+            .fold(0.0f64, |m, &v| m.max(v))
+            .max(f64::MIN_POSITIVE);
+        let normalized = window
+            .delta
+            .iter()
+            .map(|c| c.iter().map(|v| v / global_peak).collect())
+            .collect();
+        WindowFeatures {
+            window,
+            normalized,
+            computed: Vec::new(),
+            columns: Vec::new(),
+        }
     }
-    out.into_iter()
-        .map(|v| if v.is_finite() { v } else { 0.0 })
-        .collect()
+
+    /// The row [`prepare_features`]`(extractor, window)` returns, computing
+    /// only the kinds no earlier row of this window computed (each kind's
+    /// values are independent of the others, so the row is the same).
+    pub fn row(&mut self, extractor: &FeatureExtractor) -> Vec<f64> {
+        for &kind in extractor.kinds() {
+            if self.start_of(kind).is_none() {
+                self.computed.push((kind, self.columns.len()));
+                for x in &self.normalized {
+                    self.columns.extend(kind.values(x));
+                }
+            }
+        }
+        let channels = self.normalized.len();
+        let mut out =
+            Vec::with_capacity(channels * extractor.len() + extra_feature_count(channels));
+        for channel in 0..channels {
+            for &kind in extractor.kinds() {
+                // Every kind of `extractor` was computed above.
+                let at = self.start_of(kind).unwrap_or(0) + channel * kind.arity();
+                out.extend_from_slice(&self.columns[at..at + kind.arity()]);
+            }
+        }
+        // ΔRSS² is non-negative by construction, but windows built by
+        // callers may carry arbitrary data: clamp energies at zero before
+        // forming shares so hostile inputs cannot produce non-finite
+        // features.
+        let energy = |c: &Vec<f64>| c.iter().map(|v| v.max(0.0)).sum::<f64>();
+        let delta = &self.window.delta;
+        let total: f64 = delta.iter().map(energy).sum::<f64>().max(f64::MIN_POSITIVE);
+        out.push(self.window.duration_s());
+        out.push(total.ln());
+        out.extend(delta.iter().map(|c| energy(c) / total));
+        out.iter_mut()
+            .filter(|v| !v.is_finite())
+            .for_each(|v| *v = 0.0);
+        out
+    }
+
+    fn start_of(&self, kind: FeatureKind) -> Option<usize> {
+        self.computed
+            .iter()
+            .find_map(|&(k, at)| (k == kind).then_some(at))
+    }
 }
 
 /// Number of scale-bearing descriptors [`prepare_features`] appends after
@@ -70,7 +124,8 @@ pub fn extra_feature_count(channel_count: usize) -> usize {
 
 /// Recognizer for the eight gestures.
 ///
-/// Labels are gesture indices `0..8` in [`Gesture::ALL`] order.
+/// Labels are gesture indices `0..8` in
+/// [`Gesture::ALL`](airfinger_synth::gesture::Gesture::ALL) order.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DetectRecognizer {
     extractor: FeatureExtractor,
@@ -100,7 +155,7 @@ impl DetectRecognizer {
         &self.extractor
     }
 
-    /// Whether [`DetectRecognizer::train`] has succeeded.
+    /// Whether [`DetectRecognizer::train_features`] has succeeded.
     #[must_use]
     pub fn is_trained(&self) -> bool {
         self.trained
@@ -121,38 +176,6 @@ impl DetectRecognizer {
         self.forest.fit(x, y)?;
         self.trained = true;
         Ok(())
-    }
-
-    /// Train from gesture windows.
-    ///
-    /// # Errors
-    ///
-    /// Propagates classifier errors.
-    pub fn train(
-        &mut self,
-        windows: &[GestureWindow],
-        labels: &[usize],
-    ) -> Result<(), AirFingerError> {
-        let x: Vec<Vec<f64>> = windows.iter().map(|w| self.features(w)).collect();
-        self.train_features(&x, labels)
-    }
-
-    /// Predict the gesture index of a window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AirFingerError::NotTrained`] before training.
-    // lint: hot-path-root — hosts the features/rf_predict stage spans
-    pub fn predict_index(&self, window: &GestureWindow) -> Result<usize, AirFingerError> {
-        if !self.trained {
-            return Err(AirFingerError::NotTrained);
-        }
-        let features = {
-            let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "features");
-            self.features(window)
-        };
-        let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "rf_predict");
-        Ok(self.forest.predict(&features)?)
     }
 
     /// Predict the gesture index from a precomputed feature row (the
@@ -187,18 +210,6 @@ impl DetectRecognizer {
         Ok(self.forest.predict_batch(xs)?)
     }
 
-    /// Predict the gesture of a window.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AirFingerError::NotTrained`] before training.
-    pub fn predict(&self, window: &GestureWindow) -> Result<Gesture, AirFingerError> {
-        let idx = self.predict_index(window)?;
-        Gesture::from_index(idx.min(Gesture::ALL.len() - 1)).ok_or(AirFingerError::Ml(
-            airfinger_ml::MlError::InvalidData("predicted label outside the gesture set"),
-        ))
-    }
-
     /// Feature importances of the trained forest (empty before training),
     /// aligned with [`DetectRecognizer::feature_names`].
     #[must_use]
@@ -221,9 +232,44 @@ impl DetectRecognizer {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use airfinger_dsp::segment::Segment;
+    use airfinger_synth::gesture::Gesture;
+
+    /// [`prepare_features`] as one extraction per call, without shared
+    /// columns: the reference the shared-column rows are checked against.
+    pub(crate) fn reference_features(
+        extractor: &FeatureExtractor,
+        window: &GestureWindow,
+    ) -> Vec<f64> {
+        let global_peak = window
+            .delta
+            .iter()
+            .flat_map(|c| c.iter())
+            .fold(0.0f64, |m, &v| m.max(v))
+            .max(f64::MIN_POSITIVE);
+        let normalized: Vec<Vec<f64>> = window
+            .delta
+            .iter()
+            .map(|c| c.iter().map(|v| v / global_peak).collect())
+            .collect();
+        let mut out = extractor.extract_multi(&normalized);
+        let energies: Vec<f64> = window
+            .delta
+            .iter()
+            .map(|c| c.iter().map(|v| v.max(0.0)).sum::<f64>())
+            .collect();
+        let total: f64 = energies.iter().sum::<f64>().max(f64::MIN_POSITIVE);
+        out.push(window.duration_s());
+        out.push(total.ln());
+        for e in &energies {
+            out.push(e / total);
+        }
+        out.into_iter()
+            .map(|v| if v.is_finite() { v } else { 0.0 })
+            .collect()
+    }
 
     /// Tiny synthetic windows: class 0 has one energy bump, class 1 two.
     fn toy_window(class: usize, jitter: usize) -> GestureWindow {
@@ -249,6 +295,55 @@ mod tests {
     }
 
     #[test]
+    fn shared_columns_match_one_extraction_per_row() {
+        let with_delta = |delta: Vec<Vec<f64>>| GestureWindow {
+            segment: Segment::new(0, delta.first().map_or(0, Vec::len)),
+            raw: delta.clone(),
+            delta,
+            thresholds: vec![10.0; 3],
+            sample_rate_hz: 100.0,
+        };
+        let mut windows = vec![toy_window(0, 3), toy_window(1, 4)];
+        // Degenerate windows: no channels, empty, one sample, constant,
+        // all-zero, short, unequal lengths, non-finite and negative samples.
+        windows.push(with_delta(vec![]));
+        windows.push(with_delta(vec![vec![]; 3]));
+        windows.push(with_delta(vec![vec![4.0]; 3]));
+        windows.push(with_delta(vec![vec![2.5; 40]; 3]));
+        windows.push(with_delta(vec![vec![0.0; 40]; 3]));
+        windows.push(with_delta(vec![vec![1.0, 3.0, 2.0]; 2]));
+        windows.push(with_delta(vec![vec![1.0; 5], vec![2.0; 9], vec![]]));
+        windows.push(with_delta(vec![vec![-3.0, 1.0, -2.0, 0.5]; 3]));
+        let mut bad = toy_window(1, 5);
+        bad.delta[1][17] = f64::NAN;
+        bad.delta[2][40] = f64::INFINITY;
+        windows.push(bad);
+        let nine = FeatureExtractor::nongesture9();
+        let table1 = FeatureExtractor::table1();
+        // Shares SampEn with both, adds kinds neither has.
+        let other = FeatureExtractor::new(vec![
+            FeatureKind::Skewness,
+            FeatureKind::SampleEntropy,
+            FeatureKind::Mean,
+        ]);
+        let bits = |row: Vec<f64>| row.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for w in &windows {
+            for order in [[&nine, &table1, &other], [&table1, &other, &nine]] {
+                let mut columns = WindowFeatures::new(w);
+                for extractor in order {
+                    assert_eq!(
+                        bits(columns.row(extractor)),
+                        bits(reference_features(extractor, w)),
+                        "{} channels, {} kinds",
+                        w.channel_count(),
+                        extractor.kinds().len()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
     fn learns_toy_classes() {
         let cfg = AirFingerConfig {
             forest_trees: 15,
@@ -257,10 +352,11 @@ mod tests {
         let mut rec = DetectRecognizer::new(&cfg);
         let windows: Vec<GestureWindow> = (0..20).map(|i| toy_window(i % 2, i / 2)).collect();
         let labels: Vec<usize> = (0..20).map(|i| i % 2).collect();
-        rec.train(&windows, &labels).unwrap();
+        let x: Vec<Vec<f64>> = windows.iter().map(|w| rec.features(w)).collect();
+        rec.train_features(&x, &labels).unwrap();
         assert!(rec.is_trained());
         for (w, &l) in windows.iter().zip(&labels) {
-            assert_eq!(rec.predict_index(w).unwrap(), l);
+            assert_eq!(rec.predict_features(&rec.features(w)).unwrap(), l);
         }
     }
 
@@ -273,16 +369,19 @@ mod tests {
         let mut rec = DetectRecognizer::new(&cfg);
         let windows: Vec<GestureWindow> = (0..12).map(|i| toy_window(i % 2, i / 2)).collect();
         let labels: Vec<usize> = (0..12).map(|i| i % 2).collect();
-        rec.train(&windows, &labels).unwrap();
-        let g = rec.predict(&toy_window(0, 3)).unwrap();
-        assert_eq!(g, Gesture::Circle); // detect index 0
+        let x: Vec<Vec<f64>> = windows.iter().map(|w| rec.features(w)).collect();
+        rec.train_features(&x, &labels).unwrap();
+        let index = rec
+            .predict_features(&rec.features(&toy_window(0, 3)))
+            .unwrap();
+        assert_eq!(Gesture::from_index(index), Some(Gesture::Circle)); // index 0
     }
 
     #[test]
     fn untrained_errors() {
         let rec = DetectRecognizer::new(&AirFingerConfig::default());
         assert_eq!(
-            rec.predict_index(&toy_window(0, 0)),
+            rec.predict_features(&rec.features(&toy_window(0, 0))),
             Err(AirFingerError::NotTrained)
         );
     }
@@ -306,7 +405,8 @@ mod tests {
         assert!(rec.feature_importances().is_empty());
         let windows: Vec<GestureWindow> = (0..10).map(|i| toy_window(i % 2, i / 2)).collect();
         let labels: Vec<usize> = (0..10).map(|i| i % 2).collect();
-        rec.train(&windows, &labels).unwrap();
+        let x: Vec<Vec<f64>> = windows.iter().map(|w| rec.features(w)).collect();
+        rec.train_features(&x, &labels).unwrap();
         assert_eq!(
             rec.feature_importances().len(),
             3 * rec.extractor().len() + extra_feature_count(3)

@@ -4,9 +4,13 @@
 //! gestures; a binary random forest over the bold 9-feature Table-I subset
 //! decides whether a window is a deliberate gesture before it reaches the
 //! recognizers. The 9 features are a subset of the 25, so (as the paper
-//! notes) they can be reused downstream "without extra consumption burden".
+//! notes) they "can be reused downstream without extra consumption
+//! burden": the pipeline builds the filter's row and the recognizer's
+//! Table-I row from one [`WindowFeatures`](crate::detect::WindowFeatures),
+//! so a window the filter passes computes only the 16 other kinds.
 
 use crate::config::AirFingerConfig;
+use crate::detect::prepare_features;
 use crate::error::AirFingerError;
 use crate::processing::GestureWindow;
 use airfinger_features::FeatureExtractor;
@@ -43,12 +47,6 @@ impl NonGestureFilter {
         }
     }
 
-    /// Whether training has succeeded.
-    #[must_use]
-    pub fn is_trained(&self) -> bool {
-        self.trained
-    }
-
     /// The 9-feature extractor.
     #[must_use]
     pub fn extractor(&self) -> &FeatureExtractor {
@@ -56,10 +54,10 @@ impl NonGestureFilter {
     }
 
     /// Feature vector of a window (same preparation as the recognizer —
-    /// see [`crate::detect::prepare_features`]).
+    /// see [`prepare_features`]).
     #[must_use]
     pub fn features(&self, window: &GestureWindow) -> Vec<f64> {
-        crate::detect::prepare_features(&self.extractor, window)
+        prepare_features(&self.extractor, window)
     }
 
     /// Train from precomputed feature vectors with binary labels
@@ -74,30 +72,18 @@ impl NonGestureFilter {
         Ok(())
     }
 
-    /// Train from windows with binary labels.
+    /// Whether a window is a deliberate gesture, judged from its
+    /// [`NonGestureFilter::features`] row.
     ///
     /// # Errors
     ///
-    /// Propagates classifier errors.
-    pub fn train(
-        &mut self,
-        windows: &[GestureWindow],
-        labels: &[usize],
-    ) -> Result<(), AirFingerError> {
-        let x: Vec<Vec<f64>> = windows.iter().map(|w| self.features(w)).collect();
-        self.train_features(&x, labels)
-    }
-
-    /// Whether the window is a deliberate gesture.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`AirFingerError::NotTrained`] before training.
-    pub fn is_gesture(&self, window: &GestureWindow) -> Result<bool, AirFingerError> {
+    /// Returns [`AirFingerError::NotTrained`] before training and
+    /// propagates classifier errors.
+    pub fn is_gesture(&self, features: &[f64]) -> Result<bool, AirFingerError> {
         if !self.trained {
             return Err(AirFingerError::NotTrained);
         }
-        Ok(self.forest.predict(&self.features(window))? == LABEL_GESTURE)
+        Ok(self.forest.predict(features)? == LABEL_GESTURE)
     }
 }
 
@@ -139,24 +125,24 @@ mod tests {
             ..Default::default()
         };
         let mut f = NonGestureFilter::new(&cfg);
-        let mut windows = Vec::new();
+        let mut x = Vec::new();
         let mut labels = Vec::new();
         for i in 0..15 {
-            windows.push(toy_window(true, i));
-            labels.push(LABEL_GESTURE);
-            windows.push(toy_window(false, i));
-            labels.push(LABEL_NON_GESTURE);
+            for (gesture, label) in [(true, LABEL_GESTURE), (false, LABEL_NON_GESTURE)] {
+                x.push(f.features(&toy_window(gesture, i)));
+                labels.push(label);
+            }
         }
-        f.train(&windows, &labels).unwrap();
-        assert!(f.is_gesture(&toy_window(true, 99)).unwrap());
-        assert!(!f.is_gesture(&toy_window(false, 99)).unwrap());
+        f.train_features(&x, &labels).unwrap();
+        assert!(f.is_gesture(&f.features(&toy_window(true, 99))).unwrap());
+        assert!(!f.is_gesture(&f.features(&toy_window(false, 99))).unwrap());
     }
 
     #[test]
     fn untrained_errors() {
         let f = NonGestureFilter::new(&AirFingerConfig::default());
         assert_eq!(
-            f.is_gesture(&toy_window(true, 0)),
+            f.is_gesture(&f.features(&toy_window(true, 0))),
             Err(AirFingerError::NotTrained)
         );
     }

@@ -1,12 +1,12 @@
 //! The end-to-end airFinger pipeline facade.
 
 use crate::config::AirFingerConfig;
-use crate::detect::DetectRecognizer;
+use crate::detect::{DetectRecognizer, WindowFeatures};
 use crate::error::AirFingerError;
 use crate::events::Recognition;
-use crate::filter::{NonGestureFilter, LABEL_GESTURE, LABEL_NON_GESTURE};
+use crate::filter::{NonGestureFilter, LABEL_NON_GESTURE};
 use crate::processing::{DataProcessor, GestureWindow};
-use crate::train::{all_gesture_feature_set, binary_feature_set};
+use crate::train::{feature_set, map_windows};
 use crate::zebra::{ScrollDirection, ScrollTrack, VelocitySource, Zebra};
 use airfinger_nir_sim::trace::RssTrace;
 use airfinger_synth::dataset::Corpus;
@@ -151,6 +151,12 @@ impl AirFinger {
     /// Train the pipeline on a gesture corpus, and optionally the
     /// interference filter on a non-gesture corpus.
     ///
+    /// The filter learns every gesture-corpus sample (non-gesture samples
+    /// in it as non-gestures), then every non-gesture-corpus sample. Each
+    /// gesture-corpus window feeds both forests from one
+    /// [`WindowFeatures`]; non-gesture windows compute only the filter's
+    /// nine kinds.
+    ///
     /// # Errors
     ///
     /// Returns [`AirFingerError::InvalidTrainingData`] when the corpus
@@ -163,29 +169,58 @@ impl AirFinger {
         self.config
             .validate()
             .map_err(AirFingerError::InvalidConfig)?;
-        let gesture_set = all_gesture_feature_set(gestures, &self.config);
-        if gesture_set.is_empty() {
+        let filter = nongestures.map(|_| NonGestureFilter::new(&self.config));
+        // A gesture sample (`Some(index)`) feeds both forests, a
+        // non-gesture one (`None`) only the filter.
+        let rows = map_windows(
+            gestures,
+            &self.config,
+            |s| match s.label.gesture() {
+                Some(g) => Some(Some(g.index())),
+                None => filter.as_ref().map(|_| None),
+            },
+            |gesture, window| {
+                let mut columns = WindowFeatures::new(window);
+                let filter_row = filter.as_ref().map(|f| columns.row(f.extractor()));
+                (
+                    gesture.map(|_| columns.row(self.detect.extractor())),
+                    filter_row,
+                )
+            },
+        );
+        let (mut x, mut y, mut filter_x, mut filter_y) = (vec![], vec![], vec![], vec![]);
+        for (_, gesture, (detect_row, filter_row)) in rows {
+            x.extend(detect_row);
+            y.extend(gesture);
+            if let Some(row) = filter_row {
+                filter_x.push(row);
+                filter_y.push(usize::from(gesture.is_some()));
+            }
+        }
+        if x.is_empty() {
             return Err(AirFingerError::InvalidTrainingData(
                 "corpus holds no gesture samples",
             ));
         }
-        self.detect.train_features(&gesture_set.x, &gesture_set.y)?;
-        if let Some(non) = nongestures {
+        self.detect.train_features(&x, &y)?;
+        if let (Some(mut filter), Some(non)) = (filter, nongestures) {
             if non.is_empty() {
                 return Err(AirFingerError::InvalidTrainingData(
                     "non-gesture corpus is empty",
                 ));
             }
-            let merged = gestures.clone().merged(non.clone());
-            let set = binary_feature_set(&merged, &self.config);
-            let has_both = set.y.contains(&LABEL_GESTURE) && set.y.contains(&LABEL_NON_GESTURE);
-            if !has_both {
+            let non_set = feature_set(non, &self.config, filter.extractor(), |s| {
+                Some(usize::from(s.label.is_gesture()))
+            });
+            filter_x.extend(non_set.x);
+            filter_y.extend(non_set.y);
+            // Every gesture row above is a filter positive.
+            if !filter_y.contains(&LABEL_NON_GESTURE) {
                 return Err(AirFingerError::InvalidTrainingData(
                     "filter training needs both gestures and non-gestures",
                 ));
             }
-            let mut filter = NonGestureFilter::new(&self.config);
-            filter.train_features(&set.x, &set.y)?;
+            filter.train_features(&filter_x, &filter_y)?;
             self.filter = Some(filter);
         }
         Ok(())
@@ -234,11 +269,12 @@ impl AirFinger {
     }
 
     /// Run the pre-classification stages of [`AirFinger::recognize_window`]:
-    /// the interference filter and feature extraction. A rejected window
-    /// carries its final [`Recognition`]; a passing window carries the
-    /// feature row awaiting a forest prediction, which callers may batch
-    /// across many windows before handing each predicted index to
-    /// [`AirFinger::finish_window`].
+    /// the interference filter, then feature extraction, both reading one
+    /// [`WindowFeatures`] so the recognizer's row computes only the kinds
+    /// the filter's row did not. A rejected window carries its final
+    /// [`Recognition`]; a passing window carries the feature row awaiting
+    /// a forest prediction, which callers may batch across many windows
+    /// before handing each predicted index to [`AirFinger::finish_window`].
     ///
     /// # Errors
     ///
@@ -249,10 +285,11 @@ impl AirFinger {
         if !self.detect.is_trained() {
             return Err(AirFingerError::NotTrained);
         }
+        let mut columns = WindowFeatures::new(window);
         if let Some(filter) = &self.filter {
             let is_gesture = {
                 let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "filter");
-                filter.is_gesture(window)?
+                filter.is_gesture(&columns.row(filter.extractor()))?
             };
             if !is_gesture {
                 airfinger_obs::counter!("pipeline_recognitions_total", kind = "rejected").inc();
@@ -263,7 +300,7 @@ impl AirFinger {
         }
         let features = {
             let _s = airfinger_obs::span!("pipeline_stage_seconds", stage = "features");
-            self.detect.features(window)
+            columns.row(self.detect.extractor())
         };
         Ok(PreparedWindow::Pending(features))
     }
@@ -354,6 +391,9 @@ impl AirFinger {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::detect::tests::reference_features;
+    use crate::filter::LABEL_GESTURE;
+    use airfinger_features::FeatureExtractor;
     use airfinger_synth::dataset::{generate_corpus, generate_nongesture_corpus, CorpusSpec};
     use airfinger_synth::gesture::Gesture;
 
@@ -527,6 +567,93 @@ mod tests {
             "wrongly rejected {wrongly_rejected}/{}",
             held_g.len()
         );
+    }
+
+    #[test]
+    fn one_pass_training_matches_forests_fit_on_separate_passes() {
+        // The former protocol: a Table-I extraction of every gesture for
+        // the recognizer, then a 9-kind extraction of every sample of the
+        // merged corpora for the filter. Shared-column training must
+        // serialize byte-identically, also when the gesture corpus holds
+        // non-gestures (they train the filter only).
+        let spec = CorpusSpec {
+            users: 1,
+            sessions: 1,
+            reps: 2,
+            ..Default::default()
+        };
+        let gestures = generate_corpus(&spec).merged(generate_nongesture_corpus(&CorpusSpec {
+            reps: 1,
+            ..spec.clone()
+        }));
+        let non = generate_nongesture_corpus(&CorpusSpec { reps: 5, ..spec });
+        let config = AirFingerConfig {
+            forest_trees: 7,
+            ..Default::default()
+        };
+        let mut af = AirFinger::new(config);
+        af.train_on_corpus(&gestures, Some(&non)).unwrap();
+
+        let processor = DataProcessor::new(config);
+        let rows = |corpus: &Corpus, extractor: &FeatureExtractor, gestures_only: bool| {
+            let (mut x, mut y) = (Vec::new(), Vec::new());
+            for s in corpus.samples() {
+                let label = match s.label.gesture() {
+                    Some(g) if gestures_only => g.index(),
+                    None if gestures_only => continue,
+                    _ => usize::from(s.label.is_gesture()),
+                };
+                x.push(reference_features(
+                    extractor,
+                    &processor.primary_window(&s.trace),
+                ));
+                y.push(label);
+            }
+            (x, y)
+        };
+        let (detect_x, detect_y) = rows(&gestures, &FeatureExtractor::table1(), true);
+        let mut detect = DetectRecognizer::new(&config);
+        detect.train_features(&detect_x, &detect_y).unwrap();
+        let merged = gestures.clone().merged(non.clone());
+        let (filter_x, filter_y) = rows(&merged, &FeatureExtractor::nongesture9(), false);
+        let labelled = |label| filter_y.iter().filter(|&&l| l == label).count();
+        assert_eq!(labelled(LABEL_GESTURE), detect_y.len());
+        assert_eq!(labelled(LABEL_NON_GESTURE), merged.len() - detect_y.len());
+        assert!(detect_y.len() < gestures.len());
+        let mut filter = NonGestureFilter::new(&config);
+        filter.train_features(&filter_x, &filter_y).unwrap();
+        let expected = SavedPipeline {
+            config,
+            detect,
+            filter: Some(filter),
+        };
+        assert_eq!(
+            serde_json::to_string(&SavedPipeline::from(af)).unwrap(),
+            serde_json::to_string(&expected).unwrap()
+        );
+    }
+
+    #[test]
+    fn filter_training_needs_a_non_gesture() {
+        let spec = CorpusSpec {
+            users: 1,
+            sessions: 1,
+            reps: 1,
+            gestures: vec![Gesture::Click],
+            ..Default::default()
+        };
+        let gestures = generate_corpus(&spec);
+        let mut af = AirFinger::new(AirFingerConfig {
+            forest_trees: 3,
+            ..Default::default()
+        });
+        assert_eq!(
+            af.train_on_corpus(&gestures, Some(&gestures)),
+            Err(AirFingerError::InvalidTrainingData(
+                "filter training needs both gestures and non-gestures"
+            ))
+        );
+        assert!(!af.has_filter());
     }
 
     #[test]

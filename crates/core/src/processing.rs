@@ -42,18 +42,23 @@ impl GestureWindow {
         self.delta.len()
     }
 
+    /// Each channel's smoothed `ΔRSS²` with its noise floor (the 10th
+    /// percentile of the smoothed series).
+    fn smoothed_with_floors(&self) -> impl Iterator<Item = (Vec<f64>, f64)> + '_ {
+        const SMOOTH_WINDOW: usize = 11;
+        self.delta.iter().map(|c| {
+            let sm = airfinger_dsp::filter::moving_average(c, SMOOTH_WINDOW);
+            let floor = airfinger_dsp::stats::quantile(&sm, 0.1).unwrap_or(0.0);
+            (sm, floor)
+        })
+    }
+
     /// Per-channel gesture-energy envelopes: smoothed `ΔRSS²` minus the
     /// channel's noise floor (10th percentile), clamped at zero.
     #[must_use]
     pub fn envelopes(&self) -> Vec<Vec<f64>> {
-        const SMOOTH_WINDOW: usize = 11;
-        self.delta
-            .iter()
-            .map(|c| {
-                let sm = airfinger_dsp::filter::moving_average(c, SMOOTH_WINDOW);
-                let floor = airfinger_dsp::stats::quantile(&sm, 0.1).unwrap_or(0.0);
-                sm.into_iter().map(|v| (v - floor).max(0.0)).collect()
-            })
+        self.smoothed_with_floors()
+            .map(|(sm, floor)| sm.into_iter().map(|v| (v - floor).max(0.0)).collect())
             .collect()
     }
 
@@ -112,16 +117,7 @@ impl GestureWindow {
     #[must_use]
     pub fn ascents(&self, config: &AirFingerConfig) -> Vec<Option<usize>> {
         const GLOBAL_FRACTION: f64 = 0.015;
-        const SMOOTH_WINDOW: usize = 11;
-        let smoothed: Vec<Vec<f64>> = self
-            .delta
-            .iter()
-            .map(|c| airfinger_dsp::filter::moving_average(c, SMOOTH_WINDOW))
-            .collect();
-        let floors: Vec<f64> = smoothed
-            .iter()
-            .map(|c| airfinger_dsp::stats::quantile(c, 0.1).unwrap_or(0.0))
-            .collect();
+        let (smoothed, floors): (Vec<_>, Vec<_>) = self.smoothed_with_floors().unzip();
         let global_peak = smoothed
             .iter()
             .zip(&floors)

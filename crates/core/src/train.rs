@@ -2,9 +2,9 @@
 //! matrices with user/session group labels for the paper's CV protocols.
 
 use crate::config::AirFingerConfig;
-use crate::processing::DataProcessor;
+use crate::processing::{DataProcessor, GestureWindow};
 use airfinger_features::FeatureExtractor;
-use airfinger_synth::dataset::Corpus;
+use airfinger_synth::dataset::{Corpus, GestureSample};
 
 /// A feature matrix with labels and grouping metadata.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -38,12 +38,6 @@ impl LabeledFeatures {
 /// Extract features for every sample of `corpus` using `extractor`,
 /// labelling each sample with `label_of(sample) -> Option<usize>` (samples
 /// mapped to `None` are skipped).
-///
-/// Per-sample extraction (segmentation + Table-I features) dominates
-/// corpus training time and every sample is independent, so the work is
-/// fanned across [`AirFingerConfig::n_threads`] workers. The order-
-/// preserving map keeps row order — and therefore every downstream split,
-/// fold and trained model — identical to the sequential path.
 #[must_use]
 pub fn feature_set<F>(
     corpus: &Corpus,
@@ -52,35 +46,64 @@ pub fn feature_set<F>(
     label_of: F,
 ) -> LabeledFeatures
 where
-    F: Fn(&airfinger_synth::dataset::GestureSample) -> Option<usize> + Sync,
+    F: Fn(&GestureSample) -> Option<usize> + Sync,
+{
+    let rows = map_windows(corpus, config, label_of, |_, window| {
+        crate::detect::prepare_features(extractor, window)
+    });
+    let mut out = LabeledFeatures::default();
+    for (s, label, features) in rows {
+        out.x.push(features);
+        out.y.push(label);
+        out.users.push(s.user);
+        out.sessions.push(s.session);
+        out.reps.push(s.rep);
+    }
+    out
+}
+
+/// `row_of(label, window)` on the primary window of every sample that
+/// `label_of` labels, in corpus order.
+///
+/// Per-sample extraction (segmentation + Table-I features) dominates
+/// corpus training time and every sample is independent, so the work is
+/// fanned across [`AirFingerConfig::n_threads`] workers. The order-
+/// preserving map keeps row order — and therefore every downstream split,
+/// fold and trained model — identical to the sequential path.
+pub(crate) fn map_windows<'c, L, T, F, R>(
+    corpus: &'c Corpus,
+    config: &AirFingerConfig,
+    label_of: F,
+    row_of: R,
+) -> Vec<(&'c GestureSample, L, T)>
+where
+    L: Send,
+    T: Send,
+    F: Fn(&GestureSample) -> Option<L> + Sync,
+    R: Fn(&L, &GestureWindow) -> T + Sync,
 {
     let _span = airfinger_obs::span!("train_feature_extraction_seconds");
     let processor = DataProcessor::new(*config);
     let threads = airfinger_parallel::effective_threads(Some(config.n_threads));
-    let rows = airfinger_parallel::par_map(corpus.samples(), threads, |s| {
+    let samples = corpus.samples();
+    let rows: Vec<_> = airfinger_parallel::par_map_indexed(samples, threads, |i, s| {
         let label = label_of(s)?;
-        let window = processor.primary_window(&s.trace);
-        let features = crate::detect::prepare_features(extractor, &window);
-        Some((features, label, s.user, s.session, s.rep))
-    });
-    let mut out = LabeledFeatures::default();
-    for (features, label, user, session, rep) in rows.into_iter().flatten() {
-        out.x.push(features);
-        out.y.push(label);
-        out.users.push(user);
-        out.sessions.push(session);
-        out.reps.push(rep);
-    }
-    airfinger_obs::counter!("train_feature_rows_total").add(out.len() as u64);
-    out
+        let row = row_of(&label, &processor.primary_window(&s.trace));
+        Some((i, label, row))
+    })
+    .into_iter()
+    .flatten()
+    .map(|(i, label, row)| (&samples[i], label, row))
+    .collect();
+    airfinger_obs::counter!("train_feature_rows_total").add(rows.len() as u64);
+    rows
 }
 
 /// Detect-aimed feature set: Table-I features, labels are detect indices
 /// `0..6`; track-aimed and non-gesture samples are skipped.
 #[must_use]
 pub fn detect_feature_set(corpus: &Corpus, config: &AirFingerConfig) -> LabeledFeatures {
-    let extractor = FeatureExtractor::table1();
-    feature_set(corpus, config, &extractor, |s| {
+    feature_set(corpus, config, &FeatureExtractor::table1(), |s| {
         s.label.gesture().and_then(|g| g.detect_index())
     })
 }
@@ -90,27 +113,15 @@ pub fn detect_feature_set(corpus: &Corpus, config: &AirFingerConfig) -> LabeledF
 /// collected gesture samples").
 #[must_use]
 pub fn all_gesture_feature_set(corpus: &Corpus, config: &AirFingerConfig) -> LabeledFeatures {
-    let extractor = FeatureExtractor::table1();
-    feature_set(corpus, config, &extractor, |s| {
+    feature_set(corpus, config, &FeatureExtractor::table1(), |s| {
         s.label.gesture().map(|g| g.index())
-    })
-}
-
-/// Binary gesture/non-gesture feature set over the 9-feature subset:
-/// label 1 for any designed gesture, 0 for unintentional motions.
-#[must_use]
-pub fn binary_feature_set(corpus: &Corpus, config: &AirFingerConfig) -> LabeledFeatures {
-    let extractor = FeatureExtractor::nongesture9();
-    feature_set(corpus, config, &extractor, |s| {
-        Some(usize::from(s.label.is_gesture()))
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use airfinger_synth::dataset::{generate_corpus, generate_nongesture_corpus, CorpusSpec};
-    use airfinger_synth::gesture::Gesture;
+    use airfinger_synth::dataset::{generate_corpus, CorpusSpec};
 
     fn tiny_spec() -> CorpusSpec {
         CorpusSpec {
@@ -137,21 +148,6 @@ mod tests {
         let mut labels = set.y.clone();
         labels.sort_unstable();
         assert_eq!(labels, (0..8).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn binary_set_mixes_labels() {
-        let spec = tiny_spec();
-        let gestures = generate_corpus(&CorpusSpec {
-            gestures: vec![Gesture::Click, Gesture::Rub],
-            ..spec.clone()
-        });
-        let non = generate_nongesture_corpus(&CorpusSpec { reps: 3, ..spec });
-        let merged = gestures.merged(non);
-        let set = binary_feature_set(&merged, &AirFingerConfig::default());
-        assert_eq!(set.len(), 5);
-        assert_eq!(set.y.iter().filter(|&&l| l == 1).count(), 2);
-        assert_eq!(set.y.iter().filter(|&&l| l == 0).count(), 3);
     }
 
     #[test]

@@ -68,10 +68,19 @@ pub fn kurtosis(x: &[f64]) -> f64 {
 /// Returns [`DspError::EmptyInput`] for an empty slice and
 /// [`DspError::InvalidParameter`] when `q` is outside `[0, 1]`.
 pub fn quantile(x: &[f64], q: f64) -> Result<f64, DspError> {
+    quantiles(x, [q]).map(|[v]| v)
+}
+
+/// [`quantile`] at every level of `qs`, sorting `x` once.
+///
+/// # Errors
+///
+/// As [`quantile`], for the first offending level.
+pub fn quantiles<const N: usize>(x: &[f64], qs: [f64; N]) -> Result<[f64; N], DspError> {
     if x.is_empty() {
         return Err(DspError::EmptyInput);
     }
-    if !(0.0..=1.0).contains(&q) {
+    if qs.iter().any(|q| !(0.0..=1.0).contains(q)) {
         return Err(DspError::InvalidParameter {
             name: "q",
             reason: "must lie in [0, 1]",
@@ -79,11 +88,13 @@ pub fn quantile(x: &[f64], q: f64) -> Result<f64, DspError> {
     }
     let mut sorted = x.to_vec();
     sorted.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    let pos = q * (sorted.len() - 1) as f64;
-    let lo = pos.floor() as usize;
-    let hi = pos.ceil() as usize;
-    let frac = pos - lo as f64;
-    Ok(sorted[lo] * (1.0 - frac) + sorted[hi] * frac)
+    Ok(qs.map(|q| {
+        let pos = q * (sorted.len() - 1) as f64;
+        let lo = pos.floor() as usize;
+        let hi = pos.ceil() as usize;
+        let frac = pos - lo as f64;
+        sorted[lo] * (1.0 - frac) + sorted[hi] * frac
+    }))
 }
 
 /// Median (the 0.5 quantile). Returns 0.0 for an empty slice.
@@ -289,6 +300,27 @@ mod tests {
     fn quantile_interpolates() {
         let x = [0.0, 10.0];
         assert_close(quantile(&x, 0.25).unwrap(), 2.5, 1e-12);
+    }
+
+    #[test]
+    fn quantiles_match_a_sort_per_level() {
+        let x = [0.3, -1.0, 2.5, 2.5, 0.0, 7.25, 1.0 / 3.0];
+        let qs = [0.1, 0.25, 0.5, 0.75, 0.9];
+        let all = quantiles(&x, qs).unwrap();
+        for (q, v) in qs.iter().zip(all) {
+            let mut sorted = x.to_vec();
+            sorted.sort_by(f64::total_cmp);
+            let pos = q * (sorted.len() - 1) as f64;
+            let (lo, hi) = (pos.floor() as usize, pos.ceil() as usize);
+            let frac = pos - lo as f64;
+            let expected = sorted[lo] * (1.0 - frac) + sorted[hi] * frac;
+            assert_eq!(v.to_bits(), expected.to_bits(), "q={q}");
+        }
+        assert_eq!(quantiles(&[], [0.5, 2.0]), Err(DspError::EmptyInput));
+        assert!(matches!(
+            quantiles(&x, [0.5, 2.0]),
+            Err(DspError::InvalidParameter { .. })
+        ));
     }
 
     #[test]

@@ -294,10 +294,9 @@ impl FeatureKind {
                 .map(|&l| stats::autocorrelation(x, l))
                 .collect(),
             NumberOfPeaks => vec![location::number_of_peaks(x, params::PEAK_SUPPORT)],
-            Quantile => params::QUANTILES
-                .iter()
-                .map(|&q| stats::quantile(x, q).unwrap_or(0.0))
-                .collect(),
+            Quantile => stats::quantiles(x, params::QUANTILES)
+                .unwrap_or([0.0; params::QUANTILES.len()])
+                .to_vec(),
             ComplexityInvariantDistance => vec![complexity::cid_ce(x, true)],
             MeanAbsoluteChange => vec![stats::mean_abs_change(x)],
             TimeReversalAsymmetry => {
